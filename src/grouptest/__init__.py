@@ -12,11 +12,13 @@ from .decoders import (
     TraceStep,
     comp,
     dd,
+    decode,
     scomp,
     score_items,
     w_scomp,
 )
 from .design import (
+    DESIGN_KINDS,
     DesignMatrix,
     DesignSpec,
     gen_bernoulli,

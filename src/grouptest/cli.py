@@ -21,8 +21,8 @@ import numpy as np
 
 from . import design as design_mod
 from . import oracle, theory
-from .decoders import DECODERS, comp, w_scomp
-from .design import DesignMatrix, DesignSpec
+from .decoders import DECODERS, comp, decode, w_scomp
+from .design import DESIGN_KINDS, DesignMatrix, DesignSpec
 from .model import OutcomeVector, run_tests, sample_defective_set
 from .plotting import PlotSpec, emit_plot
 from .sim import SimConfig, run_sweep
@@ -43,11 +43,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p_design = sub.add_parser("design", help="generate a pooling matrix")
-    p_design.add_argument(
-        "--kind",
-        required=True,
-        choices=["bernoulli", "constant_column", "near_constant_column"],
-    )
+    p_design.add_argument("--kind", required=True, choices=DESIGN_KINDS)
     p_design.add_argument("--n-items", type=int, required=True)
     p_design.add_argument("--n-tests", type=int, required=True)
     p_design.add_argument("--p", type=float, help="inclusion probability (bernoulli)")
@@ -102,7 +98,10 @@ def _build_parser() -> _Parser:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _dump_json(data: dict, path: str | None):
@@ -149,11 +148,7 @@ def _cmd_design(args) -> int:
 def _cmd_decode(args) -> int:
     matrix = DesignMatrix.from_json_dict(_load_json(args.matrix))
     outcomes = OutcomeVector.from_json_dict(_load_json(args.outcomes))
-    if args.algo == "wscomp":
-        result = DECODERS[args.algo](matrix, outcomes, args.alpha)
-    else:
-        result = DECODERS[args.algo](matrix, outcomes)
-    payload = result.to_json_dict()
+    payload = decode(args.algo, matrix, outcomes, args.alpha).to_json_dict()
     if not args.trace:
         payload["trace"] = None
     _dump_json(payload, args.output)

@@ -1,4 +1,4 @@
-"""The four noiseless non-adaptive decoders, sharing one weighted-scoring kernel.
+"""The four noiseless non-adaptive decoders: stages of one staged pass.
 
 * ``comp``: every item seen in a negative test is a definite non-defective
   (DND); the remaining potential defectives (PD) are returned as the
@@ -13,6 +13,12 @@
   of PD items in t. Low-weight tests carry more information, so their
   members are promoted first. alpha=0 recovers scomp exactly,
   trace-for-trace; the default alpha is 1.
+
+Each decoder runs the same pass (COMP masks, then the DD core, then the
+greedy cover) and stops after the stage it needs. The greedy stage and
+``score_items`` share one scoring kernel. ``decode(name, matrix, outcomes,
+alpha)`` runs any entry of ``DECODERS`` by name; it is the one place that
+knows only W-SCOMP takes ``alpha``.
 
 Ties at the argmax are broken toward the lowest item index. Scores are
 accumulated over tests in ascending test index with a fixed reduction
@@ -46,19 +52,12 @@ class DecodeResult:
     trace: tuple[TraceStep, ...] | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "estimate": list(self.estimate.members),
             "definite_non_defectives": list(self.definite_non_defectives.members),
             "dd_core": list(self.dd_core.members),
+            "trace": None if self.trace is None else [s._asdict() for s in self.trace],
         }
-        if self.trace is not None:
-            out["trace"] = [
-                {"item": s.item, "score": s.score, "unexplained_after": s.unexplained_after}
-                for s in self.trace
-            ]
-        else:
-            out["trace"] = None
-        return out
 
 
 @dataclass(frozen=True)
@@ -78,46 +77,89 @@ def _check_dims(matrix: DesignMatrix, outcomes: OutcomeVector):
         )
 
 
-def _comp_masks(dense: np.ndarray, positive: np.ndarray):
-    """(pd, dnd) boolean item masks. Items in no test stay potential."""
+def check_alpha(alpha) -> float:
+    """``alpha`` as a float; ValueError unless it is >= 0 (so NaN is rejected)."""
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    return float(alpha)
+
+
+def _score(sub: np.ndarray, candidates: np.ndarray, alpha: float):
+    """(weights, totals) over ``sub``, the dense-matrix rows of the scored tests.
+
+    Test t has weight w_t = |candidates in t| and adds 1/w_t**alpha to the
+    total of every item in it (nothing when w_t = 0), summed in row order.
+    """
+    weights = (sub & candidates).sum(axis=1)
+    coeff = np.zeros(len(weights))
+    nz = weights > 0
+    coeff[nz] = weights[nz] ** (-alpha)
+    return weights, np.add.reduce(sub * coeff[:, np.newaxis], axis=0)
+
+
+def _staged_decode(
+    matrix: DesignMatrix, outcomes: OutcomeVector, last_stage: str, alpha: float = 0.0
+) -> DecodeResult:
+    """COMP, then DD, then the greedy cover; returns after ``last_stage``
+    ("comp", "dd" or "greedy"), so an earlier stage never pays for a later one."""
+    _check_dims(matrix, outcomes)
+    dense = matrix.dense
+    positive = outcomes.to_mask()
+    # Items in no test stay potential.
     dnd = dense[~positive].any(axis=0)
-    return ~dnd, dnd
+    pd = ~dnd
+    dnd_set = ItemSet.from_mask(dnd)
+    if last_stage == "comp":
+        return DecodeResult(ItemSet.from_mask(pd), dnd_set, ItemSet((), universe_size=matrix.n_items))
 
+    pd_hits = dense[positive] & pd
+    core = pd_hits[pd_hits.sum(axis=1) == 1].any(axis=0)
+    if last_stage == "dd":
+        core_set = ItemSet.from_mask(core)
+        return DecodeResult(core_set, dnd_set, core_set)
 
-def _dd_core_mask(dense: np.ndarray, positive: np.ndarray, pd: np.ndarray) -> np.ndarray:
-    pos_rows = dense[positive]
-    pd_hits = pos_rows & pd
-    singleton = pd_hits.sum(axis=1) == 1
-    core = np.zeros(dense.shape[1], dtype=bool)
-    if singleton.any():
-        core[np.nonzero(pd_hits[singleton])[1]] = True
-    return core
+    estimate = core.copy()
+    unexplained = positive & ~(dense & core).any(axis=1)
+    # Only items that can still explain something are candidates; this
+    # excludes the DD core, whose tests are all explained.
+    candidates = pd & dense[unexplained].any(axis=0)
+    trace: list[TraceStep] = []
+    while unexplained.any() and candidates.any():
+        _, totals = _score(dense[unexplained], candidates, alpha)
+        best = int(np.argmax(np.where(candidates, totals, -1.0)))  # first max: lowest index
+        best_score = float(totals[best])
+        if best_score <= 0.0:
+            break
+        estimate[best] = True
+        unexplained &= ~dense[:, best]
+        candidates &= dense[unexplained].any(axis=0)
+        trace.append(TraceStep(best, best_score, int(unexplained.sum())))
+    return DecodeResult(
+        estimate=ItemSet.from_mask(estimate),
+        definite_non_defectives=dnd_set,
+        dd_core=ItemSet.from_mask(core),
+        trace=tuple(trace),
+    )
 
 
 def comp(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
     """Return every item not ruled out by a negative test."""
-    _check_dims(matrix, outcomes)
-    positive = outcomes.to_mask()
-    pd, dnd = _comp_masks(matrix.dense, positive)
-    return DecodeResult(
-        estimate=ItemSet.from_mask(pd),
-        definite_non_defectives=ItemSet.from_mask(dnd),
-        dd_core=ItemSet((), universe_size=matrix.n_items),
-    )
+    return _staged_decode(matrix, outcomes, "comp")
 
 
 def dd(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
     """Return only the items certified by a positive test they alone can explain."""
-    _check_dims(matrix, outcomes)
-    positive = outcomes.to_mask()
-    pd, dnd = _comp_masks(matrix.dense, positive)
-    core = _dd_core_mask(matrix.dense, positive, pd)
-    core_set = ItemSet.from_mask(core)
-    return DecodeResult(
-        estimate=core_set,
-        definite_non_defectives=ItemSet.from_mask(dnd),
-        dd_core=core_set,
-    )
+    return _staged_decode(matrix, outcomes, "dd")
+
+
+def scomp(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
+    """Greedy cover of the unexplained positive tests with unit increments."""
+    return _staged_decode(matrix, outcomes, "greedy", 0.0)
+
+
+def w_scomp(matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float = 1.0) -> DecodeResult:
+    """Greedy cover with inverse-weight increments 1/w_t**alpha."""
+    return _staged_decode(matrix, outcomes, "greedy", check_alpha(alpha))
 
 
 def score_items(
@@ -131,11 +173,11 @@ def score_items(
 
     Each unexplained test t has weight w_t = |candidates in pool t| and
     contributes 1/w_t**alpha to the score of every candidate it contains.
-    Tests with w_t = 0 contribute nothing.
+    Tests with w_t = 0 contribute nothing. This is the score the greedy
+    stage of ``w_scomp`` maximizes at each step.
     """
     _check_dims(matrix, outcomes)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = check_alpha(alpha)
     positive = outcomes.to_mask()
     unexplained = sorted(set(int(t) for t in unexplained))
     for t in unexplained:
@@ -146,76 +188,12 @@ def score_items(
     cand_mask = candidates.to_mask()
     if len(cand_mask) != matrix.n_items:
         raise ValueError("candidate universe does not match matrix n_items")
-    sub = matrix.dense[unexplained]
-    weights_arr = (sub & cand_mask).sum(axis=1)
-    coeff = np.zeros(len(unexplained))
-    nz = weights_arr > 0
-    coeff[nz] = weights_arr[nz] ** (-float(alpha))
-    totals = np.add.reduce(sub * coeff[:, np.newaxis], axis=0) if unexplained else np.zeros(matrix.n_items)
+    weights, totals = _score(matrix.dense[unexplained], cand_mask, alpha)
     return ScoreVector(
         scores={i: float(totals[i]) for i in candidates.members},
-        weights={t: int(w) for t, w in zip(unexplained, weights_arr)},
-        alpha=float(alpha),
+        weights={t: int(w) for t, w in zip(unexplained, weights)},
+        alpha=alpha,
     )
-
-
-def _greedy_decode(matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float) -> DecodeResult:
-    dense = matrix.dense
-    positive = outcomes.to_mask()
-    pd, dnd = _comp_masks(dense, positive)
-    core = _dd_core_mask(dense, positive, pd)
-
-    estimate = core.copy()
-    explained = (dense & estimate).any(axis=1)
-    unexplained = positive & ~explained
-    candidates = pd & ~estimate
-    # Candidate shrink applied from the first iteration: only items that can
-    # still explain something are eligible.
-    candidates &= dense[unexplained].any(axis=0)
-
-    trace: list[TraceStep] = []
-    while unexplained.any() and candidates.any():
-        sub = dense[unexplained]
-        weights = (sub & candidates).sum(axis=1)
-        coeff = np.zeros(len(weights))
-        nz = weights > 0
-        coeff[nz] = weights[nz] ** (-alpha)
-        totals = np.add.reduce(sub * coeff[:, np.newaxis], axis=0)
-        masked = np.where(candidates, totals, -1.0)
-        best = int(np.argmax(masked))  # first max wins: lowest-index tie-break
-        best_score = float(totals[best])
-        if best_score <= 0.0:
-            break
-        estimate[best] = True
-        candidates[best] = False
-        test_idx = np.flatnonzero(unexplained)
-        newly_explained = sub[:, best]
-        if not newly_explained.any():
-            break
-        unexplained[test_idx[newly_explained]] = False
-        candidates &= dense[unexplained].any(axis=0)
-        trace.append(TraceStep(best, best_score, int(unexplained.sum())))
-
-    return DecodeResult(
-        estimate=ItemSet.from_mask(estimate),
-        definite_non_defectives=ItemSet.from_mask(dnd),
-        dd_core=ItemSet.from_mask(core),
-        trace=tuple(trace),
-    )
-
-
-def scomp(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
-    """Greedy cover of the unexplained positive tests with unit increments."""
-    _check_dims(matrix, outcomes)
-    return _greedy_decode(matrix, outcomes, alpha=0.0)
-
-
-def w_scomp(matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float = 1.0) -> DecodeResult:
-    """Greedy cover with inverse-weight increments 1/w_t**alpha."""
-    _check_dims(matrix, outcomes)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return _greedy_decode(matrix, outcomes, alpha=float(alpha))
 
 
 DECODERS = {
@@ -224,3 +202,17 @@ DECODERS = {
     "scomp": scomp,
     "wscomp": w_scomp,
 }
+
+
+def decode(name: str, matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float = 1.0) -> DecodeResult:
+    """Run the decoder ``DECODERS[name]``; only ``wscomp`` uses ``alpha``.
+
+    ``alpha`` is checked for every decoder, so a bad value is rejected
+    whichever decoder is asked for.
+    """
+    if name not in DECODERS:
+        raise ValueError(f"unknown decoder {name!r}; choose from {sorted(DECODERS)}")
+    check_alpha(alpha)
+    if name == "wscomp":
+        return DECODERS[name](matrix, outcomes, alpha)
+    return DECODERS[name](matrix, outcomes)

@@ -12,6 +12,9 @@ for each family given the number of defectives:
   replacement; duplicates collapse, so column weights range over [1, L].
   The optimal choice for both column families is ``L = floor((T/k) ln 2)``.
 
+``DESIGN_KINDS`` names these three families; it is the one list of them that
+specs, sweep configs and the ``gt design --kind`` choices check against.
+
 Generation is deterministic given the spec (including its seed) and does not
 depend on thread count or platform word order.
 """
@@ -19,11 +22,10 @@ depend on thread count or platform word order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-_DESIGN_KINDS = ("bernoulli", "constant_column", "near_constant_column", "explicit")
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class DesignSpec:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        if self.design_kind not in ("bernoulli", "constant_column", "near_constant_column"):
+        if self.design_kind not in DESIGN_KINDS:
             raise ValueError(f"unknown design_kind {self.design_kind!r}")
         if self.n_items < 1 or self.n_tests < 1:
             raise ValueError("n_items and n_tests must be >= 1")
@@ -76,16 +78,22 @@ class DesignMatrix:
     __slots__ = ("n_tests", "n_items", "design_kind", "params", "_rows", "_cols", "_dense")
 
     def __init__(self, rows, n_items: int, design_kind: str = "explicit", params: dict | None = None):
-        if design_kind not in _DESIGN_KINDS:
+        if design_kind not in DESIGN_KINDS + ("explicit",):
             raise ValueError(f"unknown design_kind {design_kind!r}")
         self.n_tests = len(rows)
-        self.n_items = int(n_items)
+        try:
+            self.n_items = operator.index(n_items)
+        except TypeError:
+            raise ValueError(f"n_items must be an integer, got {n_items!r}") from None
         self.design_kind = design_kind
         self.params = dict(params or {})
         dense = np.zeros((self.n_tests, self.n_items), dtype=bool)
         clean_rows = []
         for t, row in enumerate(rows):
-            idx = sorted(set(int(i) for i in row))
+            try:
+                idx = sorted(set(map(operator.index, row)))
+            except TypeError:
+                raise ValueError(f"test {t} is not a list of integer item indices: {row!r}") from None
             if idx and (idx[0] < 0 or idx[-1] >= self.n_items):
                 raise ValueError(f"test {t} contains an item index outside [0, {self.n_items})")
             dense[t, idx] = True
@@ -160,9 +168,10 @@ class DesignMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DesignMatrix":
+        require_keys(data, "matrix", "rows", "n_items", "n_tests")
         rows = data["rows"]
-        if len(rows) != data["n_tests"]:
-            raise ValueError("rows length does not match n_tests")
+        if not isinstance(rows, list) or len(rows) != data["n_tests"]:
+            raise ValueError("rows must be a list of n_tests pools")
         return cls(
             rows,
             n_items=data["n_items"],
@@ -221,10 +230,20 @@ _GENERATORS = {
     "near_constant_column": gen_near_constant_column,
 }
 
+DESIGN_KINDS = tuple(_GENERATORS)
+"""The random design families; a ``DesignMatrix`` may also be "explicit"."""
+
 
 def generate(spec: DesignSpec) -> DesignMatrix:
     """Dispatch to the generator for ``spec.design_kind``."""
     return _GENERATORS[spec.design_kind](spec)
+
+
+def require_keys(data: dict, what: str, *keys: str) -> None:
+    """ValueError naming the first of ``keys`` missing from the JSON object ``data``."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} JSON lacks the required key {key!r}")
 
 
 def _seed_for_params(seed) -> int | list[int]:

@@ -20,51 +20,44 @@ class RecoveryStats:
     exact: bool
 
 
-def _check_universe(truth: ItemSet, estimate: ItemSet):
+def confusion(truth: ItemSet, estimate: ItemSet) -> RecoveryStats:
+    """Full recovery statistics of an estimate against the true defective set.
+
+    Two empty sets count as perfect agreement for both Jaccard and F1.
+    """
     if truth.universe_size != estimate.universe_size:
         raise ValueError(
             f"universe mismatch: {truth.universe_size} vs {estimate.universe_size}"
         )
-
-
-def confusion(truth: ItemSet, estimate: ItemSet) -> RecoveryStats:
-    """Full recovery statistics of an estimate against the true defective set."""
-    _check_universe(truth, estimate)
-    t, e = set(truth.members), set(estimate.members)
-    fn = len(t - e)
-    fp = len(e - t)
+    n_truth, n_estimate = len(truth.members), len(estimate.members)
+    inter = len(set(truth.members).intersection(estimate.members))
+    fn = n_truth - inter
+    fp = n_estimate - inter
+    union = n_truth + n_estimate - inter
+    if inter == 0:
+        f1 = 0.0 if union else 1.0
+    else:
+        precision = inter / n_estimate
+        recall = inter / n_truth
+        f1 = 2.0 * precision * recall / (precision + recall)
     return RecoveryStats(
         false_negatives=fn,
         false_positives=fp,
         misclassified=fn + fp,
-        jaccard=jaccard(truth, estimate),
-        f1=f1_score(truth, estimate),
+        jaccard=inter / union if union else 1.0,
+        f1=f1,
         exact=(fn + fp == 0),
     )
 
 
 def jaccard(truth: ItemSet, estimate: ItemSet) -> float:
     """Intersection over union; two empty sets count as perfect agreement."""
-    _check_universe(truth, estimate)
-    t, e = set(truth.members), set(estimate.members)
-    union = t | e
-    if not union:
-        return 1.0
-    return len(t & e) / len(union)
+    return confusion(truth, estimate).jaccard
 
 
 def f1_score(truth: ItemSet, estimate: ItemSet) -> float:
     """Harmonic mean of precision and recall; empty-vs-empty counts as 1."""
-    _check_universe(truth, estimate)
-    t, e = set(truth.members), set(estimate.members)
-    if not t and not e:
-        return 1.0
-    inter = len(t & e)
-    if inter == 0:
-        return 0.0
-    precision = inter / len(e)
-    recall = inter / len(t)
-    return 2.0 * precision * recall / (precision + recall)
+    return confusion(truth, estimate).f1
 
 
 def counting_bound(n_items: int, n_defectives: int, n_tests: int) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix
+from .design import DesignMatrix, require_keys
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,14 @@ class OutcomeVector:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OutcomeVector":
-        return cls(tuple(bool(b) for b in data["bits"]))
+        require_keys(data, "outcomes", "bits")
+        bits = data["bits"]
+        if not isinstance(bits, list):
+            raise ValueError(f"outcome bits must be a list, got {bits!r}")
+        for t, b in enumerate(bits):
+            if b not in (0, 1):
+                raise ValueError(f"outcome bit {t} is {b!r}, not 0 or 1")
+        return cls(tuple(bool(b) for b in bits))
 
 
 def sample_defective_set(n_items: int, n_defectives: int, seed) -> ItemSet:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import design as design_mod
-from .decoders import DECODERS
+from .decoders import DECODERS, check_alpha, decode
 from .metrics import RecoveryStats, confusion, counting_bound
 from .model import sample_defective_set, run_tests
 
@@ -66,38 +66,29 @@ class SimConfig:
             raise ValueError("n_trials must be >= 1")
         if not 0 <= self.n_defectives <= self.n_items:
             raise ValueError("need 0 <= k <= N")
-        if self.design_kind not in ("bernoulli", "constant_column", "near_constant_column"):
+        if self.design_kind not in design_mod.DESIGN_KINDS:
             raise ValueError(f"unknown design_kind {self.design_kind!r}")
         unknown = [a for a in self.algorithms if a not in DECODERS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        check_alpha(self.alpha)
 
     def to_json_dict(self) -> dict:
         return {
-            "n_items": self.n_items,
-            "n_defectives": self.n_defectives,
-            "design_kind": self.design_kind,
+            **asdict(self),
             "t_values": list(self.t_values),
-            "n_trials": self.n_trials,
             "algorithms": list(self.algorithms),
-            "alpha": self.alpha,
-            "master_seed": self.master_seed,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimConfig":
-        return cls(
-            n_items=data["n_items"],
-            n_defectives=data["n_defectives"],
-            design_kind=data["design_kind"],
-            t_values=tuple(data["t_values"]),
-            n_trials=data.get("n_trials", 1000),
-            algorithms=tuple(data.get("algorithms", ALGORITHMS)),
-            alpha=data.get("alpha", 1.0),
-            master_seed=data["master_seed"],
+        """Optional fields absent from ``data`` take their defaults, but
+        ``master_seed`` must be given so that every sweep names its seed."""
+        design_mod.require_keys(
+            data, "simulation config",
+            "n_items", "n_defectives", "design_kind", "t_values", "master_seed",
         )
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 @dataclass(frozen=True)
@@ -198,26 +189,13 @@ def run_trial(
     defective set get independent sub-seeds derived from it.
     """
     state = np.random.SeedSequence(trial_seed).generate_state(2, np.uint64)
-    spec = design_mod.DesignSpec(
-        design_kind=design_spec.design_kind,
-        n_items=design_spec.n_items,
-        n_tests=design_spec.n_tests,
-        inclusion_prob=design_spec.inclusion_prob,
-        column_weight=design_spec.column_weight,
-        seed=int(state[0]),
-    )
-    matrix = design_mod.generate(spec)
+    matrix = design_mod.generate(replace(design_spec, seed=int(state[0])))
     truth = sample_defective_set(n_items, n_defectives, int(state[1]))
     outcomes = run_tests(matrix, truth)
-
-    stats = {}
-    for name in algorithms:
-        if name == "wscomp":
-            result = DECODERS[name](matrix, outcomes, alpha)
-        else:
-            result = DECODERS[name](matrix, outcomes)
-        stats[name] = confusion(truth, result.estimate)
-    return stats
+    return {
+        name: confusion(truth, decode(name, matrix, outcomes, alpha).estimate)
+        for name in algorithms
+    }
 
 
 def run_sweep(config: SimConfig) -> SweepResult:

@@ -115,6 +115,35 @@ class TestDecode:
         )
         assert code == 3
 
+    def test_nan_alpha_exits_one(self, matrix_file, outcome_file):
+        code = run_cli(
+            "decode", "--matrix", str(matrix_file), "--outcomes", str(outcome_file),
+            "--algo", "comp", "--alpha", "nan",
+        )
+        assert code == 1
+
+    @pytest.mark.parametrize(
+        "which, edit",
+        [
+            ("matrix", lambda d: d.pop("rows")),
+            ("matrix", lambda d: d["rows"][0].append(1.7)),
+            ("outcomes", lambda d: d["bits"].__setitem__(0, 2)),
+            ("outcomes", lambda d: d["bits"].__setitem__(0, "no")),
+        ],
+        ids=["matrix-without-rows", "fractional-item-index", "bit-two", "bit-no"],
+    )
+    def test_invalid_json_content_exits_one(self, tmp_path, matrix_file, outcome_file, which, edit):
+        paths = {"matrix": matrix_file, "outcomes": outcome_file}
+        data = json.loads(paths[which].read_text())
+        edit(data)
+        paths[which] = tmp_path / f"bad_{which}.json"
+        paths[which].write_text(json.dumps(data))
+        code = run_cli(
+            "decode", "--matrix", str(paths["matrix"]), "--outcomes", str(paths["outcomes"]),
+            "--algo", "comp",
+        )
+        assert code == 1
+
     def test_unknown_algorithm_exits_one(self, matrix_file, outcome_file):
         code = run_cli(
             "decode", "--matrix", str(matrix_file), "--outcomes", str(outcome_file),
@@ -153,6 +182,13 @@ class TestSimulate:
         run_cli("simulate", "--config", str(cfg), "-o", str(out1))
         run_cli("simulate", "--config", str(cfg), "--seed", "78", "-o", str(out2))
         assert out1.read_bytes() != out2.read_bytes()
+
+    def test_config_without_n_items_exits_one(self, tmp_path):
+        cfg = self.config(tmp_path)
+        data = json.loads(cfg.read_text())
+        del data["n_items"]
+        cfg.write_text(json.dumps(data))
+        assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1
 
     def test_seed_required_somewhere(self, tmp_path):
         cfg = self.config(tmp_path, with_seed=False)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouptest.decoders import comp, dd, scomp, score_items, w_scomp
+from grouptest.decoders import DECODERS, comp, dd, decode, scomp, score_items, w_scomp
 from grouptest.design import DesignMatrix
 from grouptest.model import ItemSet, OutcomeVector, run_tests
 
@@ -139,8 +139,14 @@ class TestWScomp:
 
     def test_negative_alpha_rejected(self, worked_instance):
         m, _, y = worked_instance
-        with pytest.raises(ValueError):
-            w_scomp(m, y, alpha=-0.5)
+        for alpha in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                w_scomp(m, y, alpha=alpha)
+            with pytest.raises(ValueError):
+                score_items(m, y, ItemSet((0,), universe_size=5), [0], alpha)
+            for name in DECODERS:
+                with pytest.raises(ValueError):
+                    decode(name, m, y, alpha)
 
     def test_default_alpha_is_one(self, worked_instance):
         m, _, y = worked_instance
@@ -178,6 +184,19 @@ class TestStructuralInvariants:
         for _ in range(300):
             matrix, _, y = random_instance(rng)
             assert w_scomp(matrix, y, alpha=0.0) == scomp(matrix, y)
+            # The first greedy step is the lowest-index argmax of score_items
+            # over the post-DD candidates and unexplained tests.
+            alpha = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+            res = w_scomp(matrix, y, alpha=alpha)
+            core = res.dd_core.to_mask()
+            candidates = ItemSet.from_mask(~res.definite_non_defectives.to_mask() & ~core)
+            unexplained = np.flatnonzero(y.to_mask() & ~(matrix.dense & core).any(axis=1))
+            scores = score_items(matrix, y, candidates, unexplained, alpha).scores
+            if res.trace:
+                best = max(scores, key=lambda i: (scores[i], -i))
+                assert (res.trace[0].item, res.trace[0].score) == (best, scores[best])
+            else:
+                assert not any(scores.values())
 
     def test_every_positive_test_explained_on_genuine_data(self):
         rng = np.random.default_rng(5)

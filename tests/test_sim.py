@@ -36,6 +36,9 @@ class TestConfig:
             small_config(n_defectives=41)
         with pytest.raises(ValueError):
             small_config(algorithms=("comp", "nope"))
+        for alpha in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                small_config(alpha=alpha)
 
     def test_json_round_trip(self):
         cfg = small_config()
