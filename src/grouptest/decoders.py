@@ -27,6 +27,7 @@ order, so results are reproducible across runs and thread counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,9 +79,16 @@ def _check_dims(matrix: DesignMatrix, outcomes: OutcomeVector):
 
 
 def check_alpha(alpha) -> float:
-    """``alpha`` as a float; ValueError unless it is >= 0 (so NaN is rejected)."""
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    """``alpha`` as a float; ValueError unless it is a finite number >= 0.
+
+    NaN, infinity and non-numbers are rejected.
+    """
+    try:
+        ok = math.isfinite(alpha) and alpha >= 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"alpha must be a finite number >= 0, got {alpha!r}")
     return float(alpha)
 
 
@@ -129,7 +137,12 @@ def _staged_decode(
         best = int(np.argmax(np.where(candidates, totals, -1.0)))  # first max: lowest index
         best_score = float(totals[best])
         if best_score <= 0.0:
-            break
+            # Every candidate sits in an unexplained test with w_t >= 1, so
+            # a zero score can only come from 1/w_t**alpha underflowing.
+            raise ValueError(
+                f"W-SCOMP scores underflowed to 0 at alpha={alpha} with "
+                f"{int(unexplained.sum())} positive tests unexplained; use a smaller alpha"
+            )
         estimate[best] = True
         unexplained &= ~dense[:, best]
         candidates &= dense[unexplained].any(axis=0)
@@ -158,7 +171,11 @@ def scomp(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
 
 
 def w_scomp(matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float = 1.0) -> DecodeResult:
-    """Greedy cover with inverse-weight increments 1/w_t**alpha."""
+    """Greedy cover with inverse-weight increments 1/w_t**alpha.
+
+    ValueError if the increments underflow to 0 (very large ``alpha``)
+    before every explainable positive test is explained.
+    """
     return _staged_decode(matrix, outcomes, "greedy", check_alpha(alpha))
 
 

@@ -81,10 +81,7 @@ class DesignMatrix:
         if design_kind not in DESIGN_KINDS + ("explicit",):
             raise ValueError(f"unknown design_kind {design_kind!r}")
         self.n_tests = len(rows)
-        try:
-            self.n_items = operator.index(n_items)
-        except TypeError:
-            raise ValueError(f"n_items must be an integer, got {n_items!r}") from None
+        self.n_items = require_int(n_items, "n_items")
         self.design_kind = design_kind
         self.params = dict(params or {})
         dense = np.zeros((self.n_tests, self.n_items), dtype=bool)
@@ -197,28 +194,43 @@ def gen_bernoulli(spec: DesignSpec) -> DesignMatrix:
 
 
 def gen_constant_column(spec: DesignSpec) -> DesignMatrix:
-    """Each column is a uniform L-subset of tests, drawn without replacement."""
+    """Each column is a uniform L-subset of tests, drawn without replacement.
+
+    All columns are drawn together by Floyd's algorithm, L vectorised steps
+    in total: at step j (j = T-L, ..., T-1) every item draws a test
+    uniformly from [0, j] and takes test j instead if it already holds the
+    draw. Each column is an exactly uniform L-subset, independent of the
+    others.
+    """
     if spec.design_kind != "constant_column":
         raise ValueError(f"spec is for {spec.design_kind!r}, expected constant_column")
-    L = spec.column_weight
+    L, T = spec.column_weight, spec.n_tests
     rng = _rng(spec.seed)
-    dense = np.zeros((spec.n_tests, spec.n_items), dtype=bool)
-    for i in range(spec.n_items):
-        dense[rng.choice(spec.n_tests, size=L, replace=False), i] = True
+    dense = np.zeros((T, spec.n_items), dtype=bool)
+    items = np.arange(spec.n_items)
+    for j in range(T - L, T):
+        pick = rng.integers(0, j + 1, size=spec.n_items)
+        pick[dense[pick, items]] = j
+        dense[pick, items] = True
     return DesignMatrix._from_dense(
         dense, "constant_column", {"L": L, "seed": _seed_for_params(spec.seed)}
     )
 
 
 def gen_near_constant_column(spec: DesignSpec) -> DesignMatrix:
-    """Each column draws L tests uniformly with replacement; duplicates collapse."""
+    """Each column draws L tests uniformly with replacement; duplicates collapse.
+
+    One (N, L) draw of test indices for all items, then a single scatter
+    into the dense matrix. Row i of the draw holds the same values that N
+    successive per-item draws of L would give item i.
+    """
     if spec.design_kind != "near_constant_column":
         raise ValueError(f"spec is for {spec.design_kind!r}, expected near_constant_column")
     L = spec.column_weight
     rng = _rng(spec.seed)
     dense = np.zeros((spec.n_tests, spec.n_items), dtype=bool)
-    for i in range(spec.n_items):
-        dense[rng.integers(0, spec.n_tests, size=L), i] = True
+    picks = rng.integers(0, spec.n_tests, size=(spec.n_items, L))
+    dense[picks, np.arange(spec.n_items)[:, np.newaxis]] = True
     return DesignMatrix._from_dense(
         dense, "near_constant_column", {"L": L, "seed": _seed_for_params(spec.seed)}
     )
@@ -244,6 +256,14 @@ def require_keys(data: dict, what: str, *keys: str) -> None:
     for key in keys:
         if key not in data:
             raise ValueError(f"{what} JSON lacks the required key {key!r}")
+
+
+def require_int(value, what: str) -> int:
+    """``value`` as an int (``operator.index``); ValueError naming ``what`` if it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _seed_for_params(seed) -> int | list[int]:

@@ -32,7 +32,18 @@ class ItemSet:
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "ItemSet":
-        return cls(tuple(np.flatnonzero(mask).tolist()), universe_size=len(mask))
+        """The set of True positions of a 1-D mask over the universe.
+
+        The indices of a mask are sorted, unique and in range by
+        construction, so the instance is built without ``__post_init__``.
+        """
+        mask = np.asarray(mask)
+        if mask.ndim != 1:
+            raise ValueError(f"item mask must be 1-D, got shape {mask.shape}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "members", tuple(np.flatnonzero(mask).tolist()))
+        object.__setattr__(self, "universe_size", len(mask))
+        return self
 
     def to_mask(self) -> np.ndarray:
         mask = np.zeros(self.universe_size, dtype=bool)
@@ -57,6 +68,16 @@ class OutcomeVector:
 
     def __post_init__(self):
         object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "OutcomeVector":
+        """The outcomes of a 1-D boolean mask, built without ``__post_init__``."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 1:
+            raise ValueError(f"outcome mask must be 1-D, got shape {mask.shape}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "bits", tuple(mask.tolist()))
+        return self
 
     @property
     def n_tests(self) -> int:
@@ -99,4 +120,4 @@ def run_tests(matrix: DesignMatrix, defectives: ItemSet) -> OutcomeVector:
             f"matrix n_items {matrix.n_items}"
         )
     hits = matrix.dense & defectives.to_mask()[np.newaxis, :]
-    return OutcomeVector(tuple(bool(b) for b in hits.any(axis=1)))
+    return OutcomeVector.from_mask(hits.any(axis=1))

@@ -58,7 +58,13 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "t_values", tuple(int(t) for t in self.t_values))
+        for name in ("n_items", "n_defectives", "n_trials", "master_seed"):
+            object.__setattr__(self, name, design_mod.require_int(getattr(self, name), name))
+        for name in ("t_values", "algorithms"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
+        t_values = tuple(design_mod.require_int(t, "each t_values entry") for t in self.t_values)
+        object.__setattr__(self, "t_values", t_values)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.t_values or any(t < 1 for t in self.t_values):
             raise ValueError("t_values must be nonempty and positive")
@@ -68,7 +74,7 @@ class SimConfig:
             raise ValueError("need 0 <= k <= N")
         if self.design_kind not in design_mod.DESIGN_KINDS:
             raise ValueError(f"unknown design_kind {self.design_kind!r}")
-        unknown = [a for a in self.algorithms if a not in DECODERS]
+        unknown = [a for a in self.algorithms if not isinstance(a, str) or a not in DECODERS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
         check_alpha(self.alpha)

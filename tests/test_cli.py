@@ -122,6 +122,13 @@ class TestDecode:
         )
         assert code == 1
 
+    def test_infinite_alpha_exits_one(self, matrix_file, outcome_file):
+        code = run_cli(
+            "decode", "--matrix", str(matrix_file), "--outcomes", str(outcome_file),
+            "--algo", "wscomp", "--alpha", "inf",
+        )
+        assert code == 1
+
     @pytest.mark.parametrize(
         "which, edit",
         [
@@ -187,6 +194,17 @@ class TestSimulate:
         cfg = self.config(tmp_path)
         data = json.loads(cfg.read_text())
         del data["n_items"]
+        cfg.write_text(json.dumps(data))
+        assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("t_values", 5), ("t_values", [2.7]), ("n_trials", "20"), ("master_seed", 1.5)],
+    )
+    def test_wrongly_typed_config_exits_one(self, tmp_path, key, value):
+        cfg = self.config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data[key] = value
         cfg.write_text(json.dumps(data))
         assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1
 

@@ -148,6 +148,22 @@ class TestWScomp:
                 with pytest.raises(ValueError):
                     decode(name, m, y, alpha)
 
+    @pytest.mark.parametrize("alpha", [2000.0, float("inf")])
+    def test_underflowing_alpha_raises_instead_of_partial_cover(self, alpha):
+        # 1/2**alpha is 0 in float64: the greedy stage would stop at (0,)
+        # with tests 1 and 2 positive and unexplained
+        m = DesignMatrix([[0], [1, 2], [1, 3]], n_items=4)
+        y = OutcomeVector((1, 1, 1))
+        with pytest.raises(ValueError):
+            w_scomp(m, y, alpha=alpha)
+        with pytest.raises(ValueError):
+            decode("wscomp", m, y, alpha)
+
+    def test_large_finite_alpha_still_covers(self):
+        m = DesignMatrix([[0], [1, 2], [1, 3]], n_items=4)
+        res = w_scomp(m, OutcomeVector((1, 1, 1)), alpha=1000.0)
+        assert res.estimate.members == (0, 1)
+
     def test_default_alpha_is_one(self, worked_instance):
         m, _, y = worked_instance
         assert w_scomp(m, y) == w_scomp(m, y, alpha=1.0)

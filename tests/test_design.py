@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -79,6 +82,42 @@ class TestConstantColumn:
                 hits[m.cols[i][0]] += 1
         assert chisquare(hits).pvalue > 0.001
 
+    def test_uniform_over_all_subsets(self):
+        # N=1, T=5, L=3 runs all three Floyd steps; 5000 draws over C(5,3)=10 subsets
+        subsets = {s: j for j, s in enumerate(itertools.combinations(range(5), 3))}
+        hits = np.zeros(len(subsets))
+        for seed in range(5000):
+            m = gen_constant_column(column_spec("constant_column", 1, 5, 3, seed=seed))
+            hits[subsets[m.cols[0]]] += 1
+        assert chisquare(hits).pvalue > 0.001
+
+    def test_columns_independent(self):
+        # two items share test t with probability (L/T)**2 when their subsets are independent
+        t_count, weight, runs = 5, 2, 4000
+        both = np.zeros(t_count)
+        for seed in range(runs):
+            dense = gen_constant_column(
+                column_spec("constant_column", 2, t_count, weight, seed=seed)
+            ).dense
+            both += dense[:, 0] & dense[:, 1]
+        p = (weight / t_count) ** 2
+        sigma = np.sqrt(p * (1 - p) / runs)
+        assert np.all(np.abs(both / runs - p) < 4 * sigma)
+
+    def test_matches_per_item_floyd(self):
+        # the vectorised pass is Floyd's algorithm run item by item on the same draws
+        for seed, (n, t, weight) in enumerate([(7, 9, 4), (30, 12, 12), (1, 6, 1), (50, 40, 6)]):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            draws = [rng.integers(0, j + 1, size=n) for j in range(t - weight, t)]
+            expected = np.zeros((t, n), dtype=bool)
+            for i in range(n):
+                chosen = set()
+                for j, step in zip(range(t - weight, t), draws):
+                    chosen.add(j if int(step[i]) in chosen else int(step[i]))
+                expected[sorted(chosen), i] = True
+            m = gen_constant_column(column_spec("constant_column", n, t, weight, seed=seed))
+            assert np.array_equal(m.dense, expected)
+
     def test_weight_above_tests_rejected(self):
         with pytest.raises(ValueError):
             column_spec("constant_column", 3, 4, 5)
@@ -117,9 +156,60 @@ class TestNearConstantColumn:
         w = m.column_weights()
         assert ((1 <= w) & (w <= 3)).all()
 
+    def test_matches_per_item_draws(self):
+        # one (N, L) draw consumes the generator as N per-item draws of L did
+        for seed, (n, t, weight) in enumerate([(7, 9, 4), (30, 12, 12), (1, 6, 1), (50, 40, 6)]):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            expected = np.zeros((t, n), dtype=bool)
+            for i in range(n):
+                expected[rng.integers(0, t, size=weight), i] = True
+            m = gen_near_constant_column(column_spec("near_constant_column", n, t, weight, seed=seed))
+            assert np.array_equal(m.dense, expected)
+
     def test_weight_may_exceed_tests(self):
         m = gen_near_constant_column(column_spec("near_constant_column", 2, 3, 10, seed=0))
         assert ((1 <= m.column_weights()) & (m.column_weights() <= 3)).all()
+
+
+@pytest.mark.parametrize("kind", ["constant_column", "near_constant_column"])
+def test_single_item_weight_equals_tests(kind):
+    for seed in range(20):
+        m = generate(column_spec(kind, 1, 6, 6, seed=seed))
+        assert m.dense.shape == (6, 1)
+        weight = int(m.column_weights()[0])
+        if kind == "constant_column":
+            assert weight == 6
+        else:
+            assert 1 <= weight <= 6
+
+
+class TestPinnedStreams:
+    """sha256 of ``dense.tobytes()`` for fixed specs; a change to a generator's
+    random stream fails here. The Bernoulli and near-constant digests predate
+    the vectorised column generators; the constant-column ones were written
+    from them."""
+
+    @pytest.mark.parametrize(
+        "kind, n_items, n_tests, param, seed, digest",
+        [
+            ("bernoulli", 50, 12, 0.2, 7,
+             "3f587c3c36386c1a338c84968111f7339707a63c94eb685dd3b2d52d9f3aae7d"),
+            ("constant_column", 500, 100, 6, 7,
+             "92152e26fc2bdde1a96120f5aef99d91d96720205602096ac6eca7171daeeb15"),
+            ("constant_column", 9, 5, 5, (3, 1),
+             "0692c63c7217f704f37fe5c0fb3637f1c9e0fdfc927fdacfd808e797e564609c"),
+            ("near_constant_column", 500, 80, 5, 7,
+             "912ea207c8cbef659e6e6545eaf640a62344252829b6c99520838a2125f24d66"),
+            ("near_constant_column", 9, 5, 8, (3, 1),
+             "275a87a048b91655f602bb02e0c932bdb0cb483f5d4e4839362fbc420c7294c8"),
+        ],
+    )
+    def test_dense_digest(self, kind, n_items, n_tests, param, seed, digest):
+        if kind == "bernoulli":
+            spec = bernoulli_spec(n_items, n_tests, param, seed=seed)
+        else:
+            spec = column_spec(kind, n_items, n_tests, param, seed=seed)
+        assert hashlib.sha256(generate(spec).dense.tobytes()).hexdigest() == digest
 
 
 class TestOptimalParameters:

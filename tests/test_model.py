@@ -21,6 +21,23 @@ class TestItemSet:
         s = ItemSet((0, 4), universe_size=6)
         assert ItemSet.from_mask(s.to_mask()) == s
 
+    def test_from_mask_matches_validating_constructor(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 7, 500):
+            for density in (0.0, 0.1, 0.9, 1.0):
+                mask = rng.random(n) < density
+                fast = ItemSet.from_mask(mask)
+                slow = ItemSet(tuple(np.flatnonzero(mask)), universe_size=n)
+                assert fast == slow and hash(fast) == hash(slow)
+                assert all(type(i) is int for i in fast.members)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 3), ()])
+    def test_from_mask_rejects_non_1d(self, shape):
+        with pytest.raises(ValueError):
+            ItemSet.from_mask(np.zeros(shape, dtype=bool))
+        with pytest.raises(ValueError):
+            OutcomeVector.from_mask(np.zeros(shape, dtype=bool))
+
 
 class TestSampleDefectiveSet:
     def test_empty_set(self):
@@ -112,3 +129,13 @@ def test_outcome_json_round_trip():
     y = OutcomeVector((True, False, True))
     assert OutcomeVector.from_json_dict(y.to_json_dict()) == y
     assert y.to_json_dict() == {"bits": [1, 0, 1]}
+
+
+def test_outcome_from_mask_matches_constructor():
+    rng = np.random.default_rng(9)
+    for n in (0, 1, 5, 400):
+        mask = rng.random(n) < 0.5
+        fast = OutcomeVector.from_mask(mask)
+        assert fast == OutcomeVector(tuple(mask))
+        assert all(type(b) is bool for b in fast.bits)
+        assert np.array_equal(fast.to_mask(), mask)

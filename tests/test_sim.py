@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from grouptest.sim import (
@@ -36,9 +38,33 @@ class TestConfig:
             small_config(n_defectives=41)
         with pytest.raises(ValueError):
             small_config(algorithms=("comp", "nope"))
-        for alpha in (-1.0, float("nan")):
+        for alpha in (-1.0, float("nan"), float("inf"), "1.0"):
             with pytest.raises(ValueError):
                 small_config(alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_values", 5),
+            ("t_values", "15"),
+            ("t_values", [2.7]),
+            ("t_values", [15, None]),
+            ("n_items", 40.0),
+            ("n_defectives", "3"),
+            ("n_trials", 1.5),
+            ("master_seed", "11"),
+            ("algorithms", "comp"),
+            ("algorithms", [["comp"]]),
+        ],
+    )
+    def test_wrong_types_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            small_config(**{field: value})
+
+    def test_integer_like_values_normalised(self):
+        cfg = small_config(t_values=[np.int64(15), 25], n_items=np.int32(40))
+        assert cfg.t_values == (15, 25) and type(cfg.t_values[0]) is int
+        assert type(cfg.n_items) is int and cfg == small_config()
 
     def test_json_round_trip(self):
         cfg = small_config()
@@ -86,6 +112,25 @@ class TestRunSweep:
     def test_csv_deterministic(self):
         cfg = small_config()
         assert run_sweep(cfg).to_csv_text() == run_sweep(cfg).to_csv_text()
+
+    @pytest.mark.parametrize("kind", ["constant_column", "near_constant_column"])
+    def test_column_design_csv_byte_identical_rerun(self, kind):
+        cfg = small_config(design_kind=kind, n_trials=20)
+        assert run_sweep(cfg).to_csv_text() == run_sweep(cfg).to_csv_text()
+
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            # Bernoulli and near-constant digests predate the vectorised
+            # column generators; the constant-column one was written from them.
+            ("bernoulli", "8203d533f8cb8514ab16cba8eb62ad9a0b062056f8e86fad493d437de424b2a6"),
+            ("constant_column", "d7b7261f1aa3feb70899a5e87476e846463e4a42bcc5b87ecb01a9f406ecb466"),
+            ("near_constant_column", "20226c29e03555b26af9ba679689f49fdb34ac19692e24818743fadbaeb3264b"),
+        ],
+    )
+    def test_csv_digest_pinned(self, kind, digest):
+        text = run_sweep(small_config(design_kind=kind, n_trials=20)).to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_csv_columns_exact(self):
         text = run_sweep(small_config(n_trials=2, t_values=(10,))).to_csv_text()
