@@ -16,9 +16,19 @@
 
 Each decoder runs the same pass (COMP masks, then the DD core, then the
 greedy cover) and stops after the stage it needs. The greedy stage and
-``score_items`` share one scoring kernel. ``decode(name, matrix, outcomes,
-alpha)`` runs any entry of ``DECODERS`` by name; it is the one place that
-knows only W-SCOMP takes ``alpha``.
+``score_items`` share one scoring kernel.
+
+The greedy stage runs on one compacted block, the unexplained positive
+tests by the candidate items, and computes each w_t once. That is exact: a
+test stays unexplained only while none of its candidates is chosen, and an
+item stops being a candidate only once none of its tests is unexplained, so
+w_t of an unexplained test never changes. Each step sums the rows still
+unexplained and drops those the chosen item explains; traces and sweep CSV
+bytes are those of a full rescan per step. With no candidate left after DD,
+no block is built.
+
+``decode(name, matrix, outcomes, alpha)`` runs any entry of ``DECODERS`` by
+name; it is the one place that knows only W-SCOMP takes ``alpha``.
 
 Ties at the argmax are broken toward the lowest item index. Scores are
 accumulated over tests in ascending test index with a fixed reduction
@@ -93,16 +103,49 @@ def check_alpha(alpha) -> float:
 
 
 def _score(sub: np.ndarray, candidates: np.ndarray, alpha: float):
-    """(weights, totals) over ``sub``, the dense-matrix rows of the scored tests.
+    """(weights, increments) over ``sub``, the dense-matrix rows of the scored tests.
 
-    Test t has weight w_t = |candidates in t| and adds 1/w_t**alpha to the
-    total of every item in it (nothing when w_t = 0), summed in row order.
+    Test t has weight w_t = |candidates in t|, and row t of the increments
+    is 1/w_t**alpha at every item in t (all zero when w_t = 0). An item's
+    score is its column of the increments summed in row order by
+    ``np.add.reduce(increments, axis=0)``.
     """
     weights = (sub & candidates).sum(axis=1)
     coeff = np.zeros(len(weights))
     nz = weights > 0
     coeff[nz] = weights[nz] ** (-alpha)
-    return weights, np.add.reduce(sub * coeff[:, np.newaxis], axis=0)
+    return weights, sub * coeff[:, np.newaxis]
+
+
+def _greedy_cover(dense, unexplained, candidates, alpha, estimate) -> list[TraceStep]:
+    """The greedy stage on the (unexplained tests x candidates) block, whose
+    w_t are fixed; adds the chosen items to ``estimate``, returns the trace."""
+    items = np.flatnonzero(candidates)
+    block = dense[np.ix_(np.flatnonzero(unexplained), items)]
+    _, increments = _score(block, np.ones(len(items), dtype=bool), alpha)
+    trace: list[TraceStep] = []
+    while len(block):
+        # A test with a candidate holds at least two (a lone one would be in
+        # the DD core). So the block has two or more columns, which numpy
+        # sums down in ascending test order; a lone column it sums pairwise.
+        totals = np.add.reduce(increments, axis=0)
+        col = int(np.argmax(totals))  # first max: lowest index
+        best_score = float(totals[col])
+        if best_score <= 0.0:
+            if not block.any():
+                break  # no candidate is left in an unexplained test
+            # Every remaining candidate sits in an unexplained test with
+            # w_t >= 1, so a zero score can only come from 1/w_t**alpha
+            # underflowing.
+            raise ValueError(
+                f"W-SCOMP scores underflowed to 0 at alpha={alpha} with "
+                f"{len(block)} positive tests unexplained; use a smaller alpha"
+            )
+        keep = ~block[:, col]
+        block, increments = block[keep], increments[keep]
+        estimate[items[col]] = True
+        trace.append(TraceStep(int(items[col]), best_score, len(block)))
+    return trace
 
 
 def _staged_decode(
@@ -131,22 +174,7 @@ def _staged_decode(
     # Only items that can still explain something are candidates; this
     # excludes the DD core, whose tests are all explained.
     candidates = pd & dense[unexplained].any(axis=0)
-    trace: list[TraceStep] = []
-    while unexplained.any() and candidates.any():
-        _, totals = _score(dense[unexplained], candidates, alpha)
-        best = int(np.argmax(np.where(candidates, totals, -1.0)))  # first max: lowest index
-        best_score = float(totals[best])
-        if best_score <= 0.0:
-            # Every candidate sits in an unexplained test with w_t >= 1, so
-            # a zero score can only come from 1/w_t**alpha underflowing.
-            raise ValueError(
-                f"W-SCOMP scores underflowed to 0 at alpha={alpha} with "
-                f"{int(unexplained.sum())} positive tests unexplained; use a smaller alpha"
-            )
-        estimate[best] = True
-        unexplained &= ~dense[:, best]
-        candidates &= dense[unexplained].any(axis=0)
-        trace.append(TraceStep(best, best_score, int(unexplained.sum())))
+    trace = _greedy_cover(dense, unexplained, candidates, alpha, estimate) if candidates.any() else []
     return DecodeResult(
         estimate=ItemSet.from_mask(estimate),
         definite_non_defectives=dnd_set,
@@ -205,7 +233,8 @@ def score_items(
     cand_mask = candidates.to_mask()
     if len(cand_mask) != matrix.n_items:
         raise ValueError("candidate universe does not match matrix n_items")
-    weights, totals = _score(matrix.dense[unexplained], cand_mask, alpha)
+    weights, increments = _score(matrix.dense[unexplained], cand_mask, alpha)
+    totals = np.add.reduce(increments, axis=0)
     return ScoreVector(
         scores={i: float(totals[i]) for i in candidates.members},
         weights={t: int(w) for t, w in zip(unexplained, weights)},

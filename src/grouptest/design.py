@@ -48,6 +48,9 @@ class DesignSpec:
     def __post_init__(self):
         if self.design_kind not in DESIGN_KINDS:
             raise ValueError(f"unknown design_kind {self.design_kind!r}")
+        for name in ("n_items", "n_tests", "column_weight"):
+            if name != "column_weight" or self.column_weight is not None:
+                object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.n_items < 1 or self.n_tests < 1:
             raise ValueError("n_items and n_tests must be >= 1")
         if self.design_kind == "bernoulli":
@@ -85,18 +88,34 @@ class DesignMatrix:
         self.design_kind = design_kind
         self.params = dict(params or {})
         dense = np.zeros((self.n_tests, self.n_items), dtype=bool)
-        clean_rows = []
+        # All rows in one pass; test t's indices are flat[ends[t]:ends[t + 1]].
+        # A bad row stops the pass, but an out-of-range index in an earlier
+        # row is still reported first.
+        flat, ends, bad_row = [], [0], None
         for t, row in enumerate(rows):
             try:
-                idx = sorted(set(map(operator.index, row)))
+                flat.extend(map(operator.index, row))
             except TypeError:
-                raise ValueError(f"test {t} is not a list of integer item indices: {row!r}") from None
-            if idx and (idx[0] < 0 or idx[-1] >= self.n_items):
-                raise ValueError(f"test {t} contains an item index outside [0, {self.n_items})")
-            dense[t, idx] = True
-            clean_rows.append(tuple(idx))
+                del flat[ends[-1]:]
+                bad_row = (t, row)
+                break
+            ends.append(len(flat))
+        try:
+            idx = np.array(flat, dtype=np.int64)
+            in_range = not flat or (idx.min() >= 0 and idx.max() < self.n_items)
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            pos = next(p for p, i in enumerate(flat) if not 0 <= i < self.n_items)
+            raise ValueError(
+                f"test {np.searchsorted(ends, pos, side='right') - 1} contains an item index "
+                f"outside [0, {self.n_items})"
+            )
+        if bad_row is not None:
+            raise ValueError(f"test {bad_row[0]} is not a list of integer item indices: {bad_row[1]!r}")
+        dense[np.repeat(np.arange(len(ends) - 1), np.diff(ends)), idx] = True
         dense.flags.writeable = False
-        self._rows = tuple(clean_rows)
+        self._rows = None
         self._cols = None
         self._dense = dense
 

@@ -283,3 +283,55 @@ class TestDesignMatrix:
             )
         with pytest.raises(ValueError):
             DesignSpec(design_kind="constant_column", n_items=3, n_tests=2, inclusion_prob=0.5)
+
+    @pytest.mark.parametrize(
+        "kind, sizes, param",
+        [
+            ("constant_column", (5, 4), {"column_weight": 2.5}),
+            ("near_constant_column", (5, 4.0), {"column_weight": 2}),
+            ("bernoulli", ("5", 4), {"inclusion_prob": 0.5}),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, kind, sizes, param):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DesignSpec(kind, *sizes, **param)
+
+    def test_integer_like_sizes_normalised(self):
+        spec = DesignSpec("constant_column", np.int64(6), np.int32(4), column_weight=np.int8(2))
+        assert (spec.n_items, spec.n_tests, spec.column_weight) == (6, 4, 2)
+        assert all(type(v) is int for v in (spec.n_items, spec.n_tests, spec.column_weight))
+        assert generate(spec).column_weights().tolist() == [2] * 6
+
+
+class TestDesignMatrixIngest:
+    def test_accepted_row_forms(self):
+        rows = [[3, 1, 3], (0,), range(2, 4), {4, 0}, np.array([1, 2]), (i for i in [4]),
+                [np.int64(2), True], []]
+        m = DesignMatrix(rows, n_items=5)
+        assert m.rows == ((1, 3), (0,), (2, 3), (0, 4), (1, 2), (4,), (1, 2), ())
+        expected = np.zeros((8, 5), dtype=bool)
+        for t, row in enumerate(m.rows):
+            expected[t, list(row)] = True
+        assert np.array_equal(m.dense, expected)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0], [1, "a"]], "test 1 is not a list of integer item indices: [1, 'a']"),
+            ([[0], 5], "test 1 is not a list of integer item indices: 5"),
+            ([[0], [1.0]], "test 1 is not a list of integer item indices: [1.0]"),
+            ([[0, 3]], "test 0 contains an item index outside [0, 3)"),
+            ([[1], [], [-1]], "test 2 contains an item index outside [0, 3)"),
+            ([[0, 2**70]], "test 0 contains an item index outside [0, 3)"),
+            ([[1], [-(2**70)]], "test 1 contains an item index outside [0, 3)"),
+            # The first bad test is named, whichever way it is bad; within a
+            # test a non-integer is reported before a range error.
+            ([[-1], ["a"]], "test 0 contains an item index outside [0, 3)"),
+            ([["a"], [-1]], "test 0 is not a list of integer item indices: ['a']"),
+            ([[2], [9, "a"]], "test 1 is not a list of integer item indices: [9, 'a']"),
+        ],
+    )
+    def test_rejected_rows_name_the_test(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            DesignMatrix(rows, n_items=3)
+        assert str(info.value) == message

@@ -9,10 +9,14 @@ the file stays valid when a generator's random stream changes. For each
 decoder it records the estimate, the definite non-defectives, the DD core and
 the greedy trace; floats are written by ``repr`` and compared with ``==``.
 
-The file was written by the decoders before they were merged into one staged
-pass. To write it again from the current code:
+The results were written by the decoders before they were merged into one
+staged pass. To decode the stored instances again with the current code and
+write the results back:
 
     PYTHONPATH=src python tests/test_golden_traces.py
+
+This leaves the file byte-identical while the decoders reproduce it. New
+instances are drawn (from a fixed seed) only when the file is absent.
 """
 
 import json
@@ -81,10 +85,14 @@ def test_decoders_reproduce_golden_traces():
 
 
 def write_golden():
-    rng = np.random.default_rng(20260117)
+    if os.path.exists(PATH):
+        with open(PATH) as fh:
+            records = json.load(fh)
+    else:
+        rng = np.random.default_rng(20260117)
+        records = [make_instance(index, rng) for index in range(N_INSTANCES)]
     lines = []
-    for index in range(N_INSTANCES):
-        record = make_instance(index, rng)
+    for record in records:
         record["results"] = decode_instance(record)
         lines.append(json.dumps(record, separators=(",", ":")))
     with open(PATH, "w") as fh:

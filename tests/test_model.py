@@ -31,6 +31,17 @@ class TestItemSet:
                 assert fast == slow and hash(fast) == hash(slow)
                 assert all(type(i) is int for i in fast.members)
 
+    @pytest.mark.parametrize(
+        "item, expected",
+        [(16, True), (17, False), (np.int64(16), True), (np.int32(17), False),
+         (4898, True), (1.0, False), (2.0, True), (2.5, False), ("a", False), (None, False)],
+    )
+    def test_contains(self, item, expected):
+        s = ItemSet(tuple(range(0, 4900, 2)), universe_size=5000)
+        assert (item in s) is expected
+        assert (item in s) is expected  # answered again from the kept set
+        assert s == ItemSet(tuple(range(0, 4900, 2)), universe_size=5000)
+
     @pytest.mark.parametrize("shape", [(3, 1), (2, 3), ()])
     def test_from_mask_rejects_non_1d(self, shape):
         with pytest.raises(ValueError):
