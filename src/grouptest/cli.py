@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -24,7 +25,7 @@ from . import oracle, theory
 from .decoders import DECODERS, comp, decode, w_scomp
 from .design import DESIGN_KINDS, DesignMatrix, DesignSpec
 from .model import OutcomeVector, run_tests, sample_defective_set
-from .plotting import PlotSpec, emit_plot
+from .plotting import METRIC_COLUMNS, PlotSpec, emit_plot
 from .sim import SimConfig, run_sweep
 
 
@@ -38,7 +39,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built on the first call and reused: parsing never changes the parser.
     parser = _Parser(prog="gt", description="Noiseless non-adaptive group testing toolkit")
     sub = parser.add_subparsers(dest="command")
 
@@ -83,11 +86,7 @@ def _build_parser() -> _Parser:
 
     p_plot = sub.add_parser("plot", help="render a CSV sweep as SVG")
     p_plot.add_argument("--input", required=True)
-    p_plot.add_argument(
-        "--metric",
-        required=True,
-        choices=["success_prob", "mean_fn", "mean_fp", "jaccard", "f1", "delta"],
-    )
+    p_plot.add_argument("--metric", required=True, choices=list(METRIC_COLUMNS))
     p_plot.add_argument("--overlay-counting-bound", action="store_true")
     p_plot.add_argument("--zoom", type=int, nargs=2, metavar=("T_LO", "T_HI"))
     p_plot.add_argument("--smooth-window", type=int)
@@ -115,31 +114,20 @@ def _dump_json(data: dict, path: str | None):
 
 def _cmd_design(args) -> int:
     if args.kind == "bernoulli":
-        p = args.p
-        if p is None:
-            if args.k is None:
-                raise ValueError("bernoulli design needs --p or --k")
-            p = design_mod.optimal_bernoulli_p(args.k)
-        spec = DesignSpec(
-            design_kind=args.kind,
-            n_items=args.n_items,
-            n_tests=args.n_tests,
-            inclusion_prob=p,
-            seed=args.seed,
-        )
+        field, value, missing = "inclusion_prob", args.p, "bernoulli design needs --p or --k"
     else:
-        weight = args.column_weight
-        if weight is None:
-            if args.k is None:
-                raise ValueError("column designs need --column-weight or --k")
-            weight = design_mod.optimal_column_weight(args.n_tests, args.k)
-        spec = DesignSpec(
-            design_kind=args.kind,
-            n_items=args.n_items,
-            n_tests=args.n_tests,
-            column_weight=weight,
-            seed=args.seed,
+        field, value, missing = (
+            "column_weight", args.column_weight, "column designs need --column-weight or --k"
         )
+    if value is None:
+        if args.k is None:
+            raise ValueError(missing)
+        value = (
+            design_mod.optimal_bernoulli_p(args.k)
+            if args.kind == "bernoulli"
+            else design_mod.optimal_column_weight(args.n_tests, args.k)
+        )
+    spec = DesignSpec(args.kind, args.n_items, args.n_tests, seed=args.seed, **{field: value})
     matrix = design_mod.generate(spec)
     _dump_json(matrix.to_json_dict(), args.output)
     return 0

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import DesignMatrix
+from .design import DesignMatrix, require_int
 from .model import ItemSet, OutcomeVector
 
 
@@ -224,7 +224,7 @@ def score_items(
     _check_dims(matrix, outcomes)
     alpha = check_alpha(alpha)
     positive = outcomes.to_mask()
-    unexplained = sorted(set(int(t) for t in unexplained))
+    unexplained = sorted({require_int(t, "test index") for t in unexplained})
     for t in unexplained:
         if not 0 <= t < matrix.n_tests:
             raise ValueError(f"test index {t} outside [0, {matrix.n_tests})")

@@ -22,6 +22,7 @@ depend on thread count or platform word order.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -56,8 +57,9 @@ class DesignSpec:
         if self.design_kind == "bernoulli":
             if self.inclusion_prob is None or self.column_weight is not None:
                 raise ValueError("bernoulli design takes inclusion_prob only")
-            if not 0.0 <= self.inclusion_prob <= 1.0:
-                raise ValueError(f"inclusion_prob must be in [0, 1], got {self.inclusion_prob}")
+            p = self.inclusion_prob
+            if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"inclusion_prob must be a number in [0, 1], got {p!r}")
         else:
             if self.column_weight is None or self.inclusion_prob is not None:
                 raise ValueError(f"{self.design_kind} design takes column_weight only")

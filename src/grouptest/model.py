@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, require_keys
+from .design import DesignMatrix, require_int, require_keys
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,9 @@ class ItemSet:
     universe_size: int
 
     def __post_init__(self):
-        members = tuple(sorted(set(int(i) for i in self.members)))
+        members = tuple(sorted({require_int(i, "item index") for i in self.members}))
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "universe_size", require_int(self.universe_size, "universe_size"))
         if members and (members[0] < 0 or members[-1] >= self.universe_size):
             raise ValueError(
                 f"item index outside [0, {self.universe_size}): {members}"

@@ -12,10 +12,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-_SERIES_ORDER = {"comp": 0, "dd": 1, "scomp": 2, "wscomp": 3}
+from .sim import ALGORITHMS, delta_points
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
-_METRIC_COLUMNS = {
+# ``gt plot --metric`` name -> the sweep CSV column it plots.
+METRIC_COLUMNS = {
     "success_prob": "success_prob",
     "mean_fn": "mean_fn",
     "mean_fp": "mean_fp",
@@ -51,12 +53,12 @@ def _require_column(rows: list[dict], column: str):
 
 def build_series(spec: PlotSpec) -> tuple[dict[str, list[tuple[float, float]]], list[tuple[float, float]]]:
     """Series points keyed by name, plus the bound overlay points (maybe empty)."""
-    if spec.metric not in _METRIC_COLUMNS:
+    if spec.metric not in METRIC_COLUMNS:
         raise ValueError(
-            f"unknown metric {spec.metric!r}; choose from {sorted(_METRIC_COLUMNS)}"
+            f"unknown metric {spec.metric!r}; choose from {sorted(METRIC_COLUMNS)}"
         )
     rows = _read_rows(spec.input_csv)
-    column = _METRIC_COLUMNS[spec.metric]
+    column = METRIC_COLUMNS[spec.metric]
     _require_column(rows, column)
     _require_column(rows, "T")
     _require_column(rows, "algorithm")
@@ -69,25 +71,9 @@ def build_series(spec: PlotSpec) -> tuple[dict[str, list[tuple[float, float]]], 
 
     series: dict[str, list[tuple[float, float]]] = {}
     if spec.metric == "delta":
-        by_t: dict[float, dict[str, float]] = {}
-        for r in rows:
-            by_t.setdefault(float(r["T"]), {})[r["algorithm"]] = float(r[column])
-        points = []
-        for t in sorted(by_t):
-            values = by_t[t]
-            if "scomp" not in values or "wscomp" not in values:
-                raise ValueError("delta metric needs both scomp and wscomp rows")
-            points.append((t, values["scomp"] - values["wscomp"]))
-        if spec.smooth_window is not None and spec.smooth_window > 1:
-            half = (spec.smooth_window - 1) // 2
-            ys = [y for _, y in points]
-            smoothed = []
-            for i, (t, _) in enumerate(points):
-                lo_i = max(0, i - half)
-                hi_i = min(len(ys), i + half + 1)
-                smoothed.append((t, sum(ys[lo_i:hi_i]) / (hi_i - lo_i)))
-            points = smoothed
-        series["delta"] = points
+        series["delta"] = delta_points(
+            ((float(r["T"]), r["algorithm"], float(r[column])) for r in rows), spec.smooth_window
+        )
     else:
         for r in rows:
             series.setdefault(r["algorithm"], []).append((float(r["T"]), float(r[column])))
@@ -102,9 +88,9 @@ def build_series(spec: PlotSpec) -> tuple[dict[str, list[tuple[float, float]]], 
             seen[float(r["T"])] = float(r["counting_bound"])
         bound_points = sorted(seen.items())
 
-    ordered = dict(
-        sorted(series.items(), key=lambda kv: (_SERIES_ORDER.get(kv[0], 99), kv[0]))
-    )
+    # Series in ALGORITHMS order, then any other names alphabetically.
+    rank = {name: i for i, name in enumerate(ALGORITHMS)}
+    ordered = dict(sorted(series.items(), key=lambda kv: (rank.get(kv[0], len(rank)), kv[0])))
     return ordered, bound_points
 
 

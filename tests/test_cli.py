@@ -1,8 +1,11 @@
+import csv
 import json
 
 import pytest
 
+from grouptest import cli
 from grouptest.cli import main
+from grouptest.plotting import METRIC_COLUMNS
 
 
 def run_cli(*argv):
@@ -62,6 +65,21 @@ class TestDesign:
             "--p", "1.5", "--seed", "3", "-o", str(tmp_path / "m.json"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("bernoulli", "bernoulli design needs --p or --k"),
+            ("near_constant_column", "column designs need --column-weight or --k"),
+        ],
+    )
+    def test_missing_parameter_named(self, tmp_path, capsys, kind, message):
+        code = run_cli(
+            "design", "--kind", kind, "--n-items", "4", "--n-tests", "3",
+            "--seed", "1", "-o", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        assert f"gt: {message}\n" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -208,6 +226,17 @@ class TestSimulate:
         cfg.write_text(json.dumps(data))
         assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1
 
+    @pytest.mark.parametrize("alpha, written", [(1, "1"), (1.0, "1.0"), (0.5, "0.5")])
+    def test_alpha_written_as_given(self, tmp_path, alpha, written):
+        cfg = self.config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["alpha"] = alpha
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "a.csv"
+        assert run_cli("simulate", "--config", str(cfg), "-o", str(out)) == 0
+        rows = list(csv.DictReader(out.open(newline="")))
+        assert len(rows) == 8 and {r["alpha"] for r in rows} == {written}
+
     def test_seed_required_somewhere(self, tmp_path):
         cfg = self.config(tmp_path, with_seed=False)
         assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1
@@ -266,6 +295,20 @@ class TestPlot:
         assert code == 0
         assert svg_path.read_text().startswith("<svg")
 
+    def test_every_metric_is_a_choice(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "n_items": 20, "n_defectives": 2, "design_kind": "bernoulli",
+            "t_values": [6, 10], "n_trials": 5, "master_seed": 1,
+        }))
+        csv_path = tmp_path / "out.csv"
+        assert run_cli("simulate", "--config", str(cfg), "-o", str(csv_path)) == 0
+        for metric in METRIC_COLUMNS:
+            svg = tmp_path / f"{metric}.svg"
+            assert run_cli("plot", "--input", str(csv_path), "--metric", metric, "-o", str(svg)) == 0
+        assert run_cli("plot", "--input", str(csv_path), "--metric", "mean_f1", "-o", str(svg)) == 1
+        assert "invalid choice: 'mean_f1'" in capsys.readouterr().err
+
     def test_missing_column_exits_one(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("T,algorithm\n5,comp\n")
@@ -281,3 +324,14 @@ class TestUsage:
 
     def test_theory_without_subcommand(self):
         assert run_cli("theory") == 1
+
+    def test_parser_built_once_and_reusable(self, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        # A usage error leaves the shared parser as it was.
+        assert run_cli("plot", "--metric", "nope") == 1
+        path = tmp_path / "m.json"
+        args = ("design", "--kind", "bernoulli", "--n-items", "4", "--n-tests", "3",
+                "--p", "0.5", "--seed", "1", "-o", str(path))
+        assert run_cli(*args) == 0
+        first = path.read_bytes()
+        assert run_cli(*args) == 0 and path.read_bytes() == first

@@ -95,6 +95,17 @@ class TestScoreItems:
         with pytest.raises(ValueError):
             score_items(m, OutcomeVector((1, 1, 0)), cand, [2], alpha=1.0)
 
+    @pytest.mark.parametrize("unexplained", [[0.9, 1.2], ["1"], [1.0], [None]])
+    def test_non_integer_test_indices_rejected(self, instance, unexplained):
+        m, y, cand = instance
+        with pytest.raises(ValueError, match="must be an integer"):
+            score_items(m, y, cand, unexplained, alpha=1.0)
+
+    def test_numpy_integer_test_indices_accepted(self, instance):
+        m, y, cand = instance
+        sv = score_items(m, y, cand, np.array([2, 0, 1]), alpha=1.0)
+        assert sv == score_items(m, y, cand, [0, 1, 2], alpha=1.0)
+
     def test_zero_weight_test_contributes_nothing(self):
         m = DesignMatrix([[0], [1]], n_items=2)
         sv = score_items(m, OutcomeVector((1, 1)), ItemSet((0,), universe_size=2), [0, 1], 1.0)

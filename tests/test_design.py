@@ -296,6 +296,17 @@ class TestDesignMatrix:
         with pytest.raises(ValueError, match="must be an integer"):
             DesignSpec(kind, *sizes, **param)
 
+    @pytest.mark.parametrize("p", ["0.5", [0.5], 0.5j, b"0"])
+    def test_non_numeric_inclusion_prob_rejected(self, p):
+        with pytest.raises(ValueError, match="inclusion_prob"):
+            DesignSpec("bernoulli", 5, 4, inclusion_prob=p)
+
+    @pytest.mark.parametrize("p", [0.25, np.float64(0.5), np.float32(0.75), 0, 1, 0.0, 1.0])
+    def test_numeric_inclusion_prob_accepted(self, p):
+        spec = DesignSpec("bernoulli", 50, 40, inclusion_prob=p)
+        density = generate(spec).dense.mean()
+        assert density == p if p in (0, 1) else abs(density - p) < 0.05
+
     def test_integer_like_sizes_normalised(self):
         spec = DesignSpec("constant_column", np.int64(6), np.int32(4), column_weight=np.int8(2))
         assert (spec.n_items, spec.n_tests, spec.column_weight) == (6, 4, 2)

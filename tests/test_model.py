@@ -42,6 +42,19 @@ class TestItemSet:
         assert (item in s) is expected  # answered again from the kept set
         assert s == ItemSet(tuple(range(0, 4900, 2)), universe_size=5000)
 
+    @pytest.mark.parametrize(
+        "members, universe_size",
+        [((-0.5, 2.9), 3), (("2",), 3), ((1.0,), 3), ((None,), 3), ((0,), 3.0), ((0,), "3")],
+    )
+    def test_non_integer_indices_rejected(self, members, universe_size):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ItemSet(members, universe_size=universe_size)
+
+    def test_numpy_integers_accepted(self):
+        s = ItemSet((np.int64(2), np.int32(0), np.uint8(2)), universe_size=np.int64(3))
+        assert s == ItemSet((0, 2), universe_size=3)
+        assert all(type(v) is int for v in (*s.members, s.universe_size))
+
     @pytest.mark.parametrize("shape", [(3, 1), (2, 3), ()])
     def test_from_mask_rejects_non_1d(self, shape):
         with pytest.raises(ValueError):

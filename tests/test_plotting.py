@@ -1,7 +1,7 @@
 import pytest
 
-from grouptest.plotting import PlotSpec, emit_plot
-from grouptest.sim import SimConfig, run_sweep
+from grouptest.plotting import PlotSpec, build_series, emit_plot
+from grouptest.sim import SimConfig, delta_series, run_sweep
 
 HEADER = (
     "design,algorithm,N,k,T,alpha,n_trials,master_seed,success_prob,"
@@ -98,3 +98,26 @@ def test_delta_metric_needs_both_greedy_decoders(tmp_path):
     write_csv(csv_path2, sample_rows(algorithms=("scomp", "wscomp")))
     svg = emit_plot(PlotSpec(str(csv_path2), "delta", str(tmp_path / "d2.svg")))
     assert svg.count('class="marker"') == 2  # one delta point per T
+    # one T without wscomp is enough to reject the CSV
+    rows = [r for r in sample_rows(t_values=(10, 20, 30), algorithms=("scomp", "wscomp"))
+            if (r[4], r[1]) != (20, "wscomp")]
+    write_csv(csv_path, rows)
+    with pytest.raises(ValueError, match="delta"):
+        emit_plot(PlotSpec(str(csv_path), "delta", str(tmp_path / "d3.svg")))
+
+
+@pytest.mark.parametrize("smooth_window", [None, 1, 3, 4])
+def test_delta_metric_equals_delta_series(tmp_path, smooth_window):
+    cfg = SimConfig(
+        n_items=40, n_defectives=3, design_kind="bernoulli",
+        t_values=(6, 8, 10, 13, 16, 20), n_trials=30, alpha=2.0, master_seed=5,
+    )
+    sweep = run_sweep(cfg)
+    csv_path = tmp_path / "sweep.csv"
+    sweep.to_csv(str(csv_path))
+    series, _ = build_series(
+        PlotSpec(str(csv_path), "delta", str(tmp_path / "d.svg"), smooth_window=smooth_window)
+    )
+    expected = delta_series(sweep, smooth_window)
+    assert any(d != 0 for _, d in expected)
+    assert series == {"delta": [(float(t), d) for t, d in expected]}

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from grouptest.sim import (
     ALGORITHMS,
     CSV_COLUMNS,
     SimConfig,
+    SweepResult,
     delta_series,
     design_spec_for,
     run_sweep,
@@ -136,6 +139,21 @@ class TestRunSweep:
         text = run_sweep(small_config(n_trials=2, t_values=(10,))).to_csv_text()
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
 
+    @pytest.mark.parametrize(
+        "alpha, written", [(np.float64(0.5), "0.5"), (1, "1"), (1.0, "1.0"), (np.float64(2.0), "2.0")]
+    )
+    def test_csv_alpha_column(self, alpha, written):
+        text = run_sweep(small_config(alpha=alpha, n_trials=2, t_values=(10,))).to_csv_text()
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == len(ALGORITHMS)
+        assert all(None not in r for r in rows)  # no row longer than the header
+        assert {r["alpha"] for r in rows} == {written}
+
+    def test_to_csv_writes_the_csv_text(self, tmp_path):
+        sweep = run_sweep(small_config(n_trials=3))
+        sweep.to_csv(str(tmp_path / "s.csv"))
+        assert (tmp_path / "s.csv").read_bytes() == sweep.to_csv_text().encode()
+
     def test_single_trial_equals_aggregate(self):
         cfg = small_config(n_trials=1, t_values=(18,), algorithms=("scomp",))
         sweep = run_sweep(cfg)
@@ -189,6 +207,11 @@ class TestDeltaSeries:
         sweep = run_sweep(small_config(algorithms=("comp", "scomp")))
         with pytest.raises(ValueError):
             delta_series(sweep)
+        # one T without wscomp is enough to reject the sweep
+        sweep = run_sweep(small_config(t_values=(10, 15, 20), n_trials=5))
+        rows = tuple(r for r in sweep.rows if (r.n_tests, r.algorithm) != (15, "wscomp"))
+        with pytest.raises(ValueError, match="delta"):
+            delta_series(SweepResult(sweep.config, rows))
 
     def test_zero_when_algorithms_agree(self):
         # plenty of tests: both greedy decoders recover exactly, delta = 0
