@@ -60,6 +60,8 @@ class DesignSpec:
             p = self.inclusion_prob
             if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"inclusion_prob must be a number in [0, 1], got {p!r}")
+            if isinstance(p, np.generic):  # params["p"] must stay JSON-serialisable
+                object.__setattr__(self, "inclusion_prob", p.item())
         else:
             if self.column_weight is None or self.inclusion_prob is not None:
                 raise ValueError(f"{self.design_kind} design takes column_weight only")

@@ -69,12 +69,16 @@ class ItemSet:
 
 @dataclass(frozen=True)
 class OutcomeVector:
-    """The T binary test results, index-aligned with the design's rows."""
+    """The T binary test results (each 0, 1 or a bool), index-aligned with the design's rows."""
 
     bits: tuple[bool, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
+        bits = tuple(self.bits)
+        for t, b in enumerate(bits):
+            if b not in (0, 1):
+                raise ValueError(f"outcome bit {t} is {b!r}, not 0 or 1")
+        object.__setattr__(self, "bits", tuple(bool(b) for b in bits))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "OutcomeVector":
@@ -102,10 +106,7 @@ class OutcomeVector:
         bits = data["bits"]
         if not isinstance(bits, list):
             raise ValueError(f"outcome bits must be a list, got {bits!r}")
-        for t, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"outcome bit {t} is {b!r}, not 0 or 1")
-        return cls(tuple(bool(b) for b in bits))
+        return cls(tuple(bits))
 
 
 def sample_defective_set(n_items: int, n_defectives: int, seed) -> ItemSet:

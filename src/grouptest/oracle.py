@@ -5,6 +5,7 @@ The moment oracles enumerate every inclusion pattern of the N-1 peer items
 so they share no code path with the analytic formulas they check.
 ``consistent_sets`` exhaustively lists the defective sets a decoder could
 legitimately output, which underpins the exact-recovery feasibility checks.
+``verify`` runs both kinds of check as the ``gt verify`` suite.
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix
-from .model import ItemSet, OutcomeVector
+from . import theory
+from .decoders import comp, dd, w_scomp
+from .design import DesignMatrix, DesignSpec, generate
+from .model import ItemSet, OutcomeVector, run_tests, sample_defective_set
 
 _MAX_ENUM_ITEMS = 16
 _MAX_SUBSETS = 10**6
+_MOMENT_FIELDS = ("mu_d", "nu_d", "mu_nd", "nu_nd")
 
 
 @dataclass(frozen=True)
@@ -50,14 +54,18 @@ def _peer_patterns(n_items: int, n_defective_peers: int, p: float):
     return probs, sizes, defectives_in
 
 
-def brute_force_weighted_moments(n_items: int, n_defectives: int, p: float) -> EnumeratedMoments:
-    """Exact inverse-weight score moments by enumeration over all peer patterns."""
+def _check_enum_domain(n_items: int, n_defectives: int, p: float):
     if n_items > _MAX_ENUM_ITEMS:
         raise ValueError(f"enumeration budget is N <= {_MAX_ENUM_ITEMS}, got {n_items}")
     if not 1 <= n_defectives < n_items:
         raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+
+
+def brute_force_weighted_moments(n_items: int, n_defectives: int, p: float) -> EnumeratedMoments:
+    """Exact inverse-weight score moments by enumeration over all peer patterns."""
+    _check_enum_domain(n_items, n_defectives, p)
 
     # Defective focal item: k-1 defective peers; inclusion alone makes the
     # test positive, so every included pattern contributes 1/(1+size).
@@ -89,12 +97,7 @@ def brute_force_weighted_moments(n_items: int, n_defectives: int, p: float) -> E
 
 def brute_force_unweighted_moments(n_defectives: int, p: float, n_items: int) -> EnumeratedMoments:
     """Exact indicator score moments by the same enumeration."""
-    if n_items > _MAX_ENUM_ITEMS:
-        raise ValueError(f"enumeration budget is N <= {_MAX_ENUM_ITEMS}, got {n_items}")
-    if not 1 <= n_defectives < n_items:
-        raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_enum_domain(n_items, n_defectives, p)
 
     probs, _, _ = _peer_patterns(n_items, n_defectives - 1, p)
     base_mu_d = float(probs.sum())  # inclusion suffices; contribution is 1
@@ -147,3 +150,53 @@ def consistent_sets(matrix: DesignMatrix, outcomes: OutcomeVector, n_defectives:
         if all(chosen & pool for pool in pos_pools):
             found.append(ItemSet(combo, universe_size=n))
     return found
+
+
+def _deviations(closed, enumerated) -> list[float]:
+    return [abs(getattr(closed, f) - getattr(enumerated, f)) for f in _MOMENT_FIELDS]
+
+
+def verify(n_max: int, trials: int) -> tuple[float, float, int]:
+    """The ``gt verify`` suite: ``(worst_weighted_dev, worst_unweighted_dev, violations)``.
+
+    The deviations are the largest |closed form - enumeration| over the four
+    moments, N = 2..n_max, k = 1..N-1 and p in {0.1, 0.25, 0.5, 1/(k+1)};
+    NaN if any is NaN.
+    ``violations`` counts failed checks over ``trials`` seeded random
+    Bernoulli instances: (1) the truth is feasible, and every feasible set
+    (2) lies inside the COMP estimate and (3) contains the DD core; (4) the
+    W-SCOMP estimate reproduces the outcomes. ValueError if ``n_max``
+    exceeds the enumeration budget.
+    """
+    if n_max > _MAX_ENUM_ITEMS:
+        raise ValueError(f"--n-max is capped at {_MAX_ENUM_ITEMS} by the enumeration budget")
+    devs_w, devs_u = [0.0], [0.0]
+    for n in range(2, n_max + 1):
+        for k in range(1, n):
+            for p in (0.1, 0.25, 0.5, 1.0 / (k + 1)):
+                closed_w, closed_u = theory.weighted_moments(n, k, p), theory.unweighted_moments(k, p)
+                devs_w += _deviations(closed_w, brute_force_weighted_moments(n, k, p))
+                devs_u += _deviations(closed_u, brute_force_unweighted_moments(k, p, n))
+    # np.max, unlike max, returns NaN if any deviation is NaN.
+    worst_w, worst_u = float(np.max(devs_w)), float(np.max(devs_u))
+
+    violations = 0
+    rng = np.random.default_rng(20240)
+    for _ in range(trials):
+        n = int(rng.integers(3, 11))
+        k = int(rng.integers(1, min(4, n)))
+        t = int(rng.integers(3, 13))
+        p = float(rng.uniform(0.1, 0.6))
+        seed = int(rng.integers(0, 2**63))
+        matrix = generate(DesignSpec("bernoulli", n, t, inclusion_prob=p, seed=seed))
+        truth = sample_defective_set(n, k, int(rng.integers(0, 2**63)))
+        outcomes = run_tests(matrix, truth)
+        feasible = consistent_sets(matrix, outcomes, k)
+        masks = [s.to_mask() for s in feasible]
+        pd = comp(matrix, outcomes).estimate.to_mask()
+        core = dd(matrix, outcomes).estimate.to_mask()
+        violations += truth not in feasible
+        violations += any((m & ~pd).any() for m in masks)
+        violations += any((core & ~m).any() for m in masks)
+        violations += run_tests(matrix, w_scomp(matrix, outcomes).estimate) != outcomes
+    return worst_w, worst_u, violations

@@ -117,9 +117,13 @@ def _nd_base_moments(n_items: int, n_defectives: int, p: float) -> tuple[float, 
     return mean, mean_sq
 
 
-def _check_domain(n_items: int, n_defectives: int, p: float):
+def _check_k_below_n(n_items: int, n_defectives: int):
     if not 1 <= n_defectives < n_items:
         raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
+
+
+def _check_domain(n_items: int, n_defectives: int, p: float):
+    _check_k_below_n(n_items, n_defectives)
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got {p}")
 
@@ -204,8 +208,7 @@ def numerator_identity(n_items: int, n_defectives: int, p: float) -> float:
 
 def mu_nd_closed_form(n_items: int, n_defectives: int) -> float:
     """Mean reciprocal pool weight of a non-defective item at p = 1/(k+1)."""
-    if not 1 <= n_defectives < n_items:
-        raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
+    _check_k_below_n(n_items, n_defectives)
     k = n_defectives
     n = n_items
     c = k / (k + 1.0)
@@ -228,13 +231,13 @@ def second_moment_sum(n_items: int, n_defectives: int, p: float) -> float:
     return first - second
 
 
-def coefficient_functions(n_defectives: int, variant_f3: bool = False) -> tuple[float, float, float, float]:
+def coefficient_functions(n_defectives: int) -> tuple[float, float, float, float]:
     """The four N-free coefficients of the SNR-dominance inequality at p = 1/(k+1).
 
-    Two inequivalent expressions for the third coefficient circulate in the
-    derivation: the definitional one, q^2 (1 - 2pq + q), and a sign-analysis
-    variant q^2 (1 + q - 2pq^2). The definitional form is the default;
-    ``variant_f3`` switches to the other for investigation.
+    The third coefficient is the definitional q^2 (1 - 2pq + q). A
+    sign-analysis variant, q^2 (1 + q - 2pq^2), also circulates in the
+    derivation; it is not equivalent (at k = 1 it gives 0.3125, not 0.25)
+    and is not used here.
     """
     if n_defectives < 1:
         raise ValueError(f"need k >= 1, got {n_defectives}")
@@ -242,10 +245,7 @@ def coefficient_functions(n_defectives: int, variant_f3: bool = False) -> tuple[
     q = coverage_prob(n_defectives, p)
     f1 = 1.0 - 2.0 * p * q + q
     f2 = -2.0 * q * (1.0 - p + q * (1.0 - p * q))
-    if variant_f3:
-        f3 = q**2 * (1.0 + q - 2.0 * p * q**2)
-    else:
-        f3 = q**2 * (1.0 - 2.0 * p * q + q)
+    f3 = q**2 * (1.0 - 2.0 * p * q + q)
     f4 = -((1.0 - q) ** 2)
     return f1, f2, f3, f4
 
@@ -294,8 +294,7 @@ def _log_space_sum(n: int, k: int, log_c_prefactor: float) -> float:
 
 def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
     """Evaluate the positivity function f(N, k) by both computation routes."""
-    if not 1 <= n_defectives < n_items:
-        raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
+    _check_k_below_n(n_items, n_defectives)
     n, k = n_items, n_defectives
     p = 1.0 / (k + 1)
     q = coverage_prob(k, p)
@@ -356,8 +355,7 @@ def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
 
 def snr_dominance(n_items: int, n_defectives: int) -> bool:
     """True when the weighted per-test SNR is at least the unweighted one."""
-    if not 1 <= n_defectives < n_items:
-        raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
+    _check_k_below_n(n_items, n_defectives)
     p = 1.0 / (n_defectives + 1)
     snr_w = weighted_moments(n_items, n_defectives, p).snr_per
     snr_u = unweighted_moments(n_defectives, p).snr_per
@@ -398,8 +396,7 @@ def jensen_bounds(n_items: int, n_defectives: int) -> tuple[float, float]:
     count k p / q + (N-k-1) p in the denominator, the bound reduces to
     ((k+1) q / (N q + k))^2.
     """
-    if not 1 <= n_defectives < n_items:
-        raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
+    _check_k_below_n(n_items, n_defectives)
     n, k = n_items, n_defectives
     q = coverage_prob(k, 1.0 / (k + 1))
     lower_d = ((k + 1.0) / (n + k)) ** 2

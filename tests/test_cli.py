@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from grouptest import cli
 from grouptest.cli import main
 from grouptest.plotting import METRIC_COLUMNS
+from grouptest.theory import f_grid, unweighted_moments, weighted_moments
 
 
 def run_cli(*argv):
@@ -257,6 +259,14 @@ class TestTheory:
         assert lines[0] == "k,N,f_value,residual_19,snr_w,snr_u"
         assert len(lines) == 1 + 2 * 4
         assert all(float(line.split(",")[2]) > 0 for line in lines[1:])
+        # Each row is one f_grid point plus the two per-test SNRs at p = 1/(k+1).
+        expected = [
+            [str(pt.n_defectives), str(pt.n_items), repr(pt.f_value), repr(pt.residual_19),
+             repr(weighted_moments(pt.n_items, pt.n_defectives, pt.p).snr_per),
+             repr(unweighted_moments(pt.n_defectives, pt.p).snr_per)]
+            for pt in f_grid(2, 4)
+        ]
+        assert [line.split(",") for line in lines[1:]] == expected
 
 
 class TestVerify:
@@ -268,6 +278,18 @@ class TestVerify:
 
     def test_excessive_budget_rejected(self):
         assert run_cli("verify", "--n-max", "40") == 1
+
+    @pytest.mark.parametrize("error", [1e-9, float("nan")])
+    def test_wrong_closed_form_exits_two(self, monkeypatch, capsys, error):
+        real = cli.theory.weighted_moments
+
+        def broken(*args):
+            moments = real(*args)
+            return dataclasses.replace(moments, nu_nd=moments.nu_nd + error)
+
+        monkeypatch.setattr(cli.theory, "weighted_moments", broken)
+        assert run_cli("verify", "--n-max", "4", "--trials", "0") == 2
+        assert "gt: oracle suite failed" in capsys.readouterr().err
 
 
 class TestPlot:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -301,11 +302,17 @@ class TestDesignMatrix:
         with pytest.raises(ValueError, match="inclusion_prob"):
             DesignSpec("bernoulli", 5, 4, inclusion_prob=p)
 
-    @pytest.mark.parametrize("p", [0.25, np.float64(0.5), np.float32(0.75), 0, 1, 0.0, 1.0])
+    @pytest.mark.parametrize(
+        "p", [0.25, np.float64(0.5), np.float32(0.75), 0, 1, 0.0, 1.0, np.float32(0.1), np.int64(1)]
+    )
     def test_numeric_inclusion_prob_accepted(self, p):
         spec = DesignSpec("bernoulli", 50, 40, inclusion_prob=p)
-        density = generate(spec).dense.mean()
+        matrix = generate(spec)
+        density = matrix.dense.mean()
         assert density == p if p in (0, 1) else abs(density - p) < 0.05
+        # The matrix JSON can be written, and an integer 0 or 1 stays an integer.
+        p_json = json.loads(json.dumps(matrix.to_json_dict()))["params"]["p"]
+        assert p_json == p and isinstance(p_json, int) == isinstance(p, (int, np.integer))
 
     def test_integer_like_sizes_normalised(self):
         spec = DesignSpec("constant_column", np.int64(6), np.int32(4), column_weight=np.int8(2))

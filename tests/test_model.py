@@ -153,6 +153,13 @@ def test_outcome_json_round_trip():
     y = OutcomeVector((True, False, True))
     assert OutcomeVector.from_json_dict(y.to_json_dict()) == y
     assert y.to_json_dict() == {"bits": [1, 0, 1]}
+    # The constructor and from_json_dict reject the same non-bits.
+    for bad, where, value in [((0.5, "0", 2), 0, 0.5), ((1, "0"), 1, "0"), ((0, 1, 2), 2, 2)]:
+        message = f"outcome bit {where} is {value!r}, not 0 or 1"
+        with pytest.raises(ValueError, match=message):
+            OutcomeVector(bad)
+        with pytest.raises(ValueError, match=message):
+            OutcomeVector.from_json_dict({"bits": list(bad)})
 
 
 def test_outcome_from_mask_matches_constructor():

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from grouptest import oracle, theory
 from grouptest.decoders import comp, scomp, w_scomp
 from grouptest.design import DesignMatrix, DesignSpec, gen_bernoulli
 from grouptest.model import ItemSet, OutcomeVector, run_tests, sample_defective_set
@@ -121,3 +124,70 @@ class TestDecoderSoundnessAgainstOracle:
                 est = decode(matrix, y).estimate
                 if est == truth:
                     assert truth in feasible
+
+
+def _drop_first_feasible_set(real):
+    return lambda matrix, outcomes, k: real(matrix, outcomes, k)[1:]
+
+
+def _comp_dropping_a_pd_item(real):
+    def broken(matrix, outcomes):
+        result = real(matrix, outcomes)
+        return replace(result, estimate=ItemSet(result.estimate.members[1:], matrix.n_items))
+    return broken
+
+
+def _dd_adding_a_non_core_item(real):
+    def broken(matrix, outcomes):
+        result = real(matrix, outcomes)
+        extra = next(i for i in range(matrix.n_items) if i not in result.estimate)
+        return replace(result, estimate=ItemSet(result.estimate.members + (extra,), matrix.n_items))
+    return broken
+
+
+def _w_scomp_returning_the_dd_core(real):
+    def broken(matrix, outcomes, alpha=1.0):
+        result = real(matrix, outcomes, alpha)
+        return replace(result, estimate=result.dd_core)
+    return broken
+
+
+class TestVerify:
+    def test_passes_at_small_budget(self):
+        worst_w, worst_u, violations = oracle.verify(7, 40)
+        assert worst_w <= 1e-12 and worst_u <= 1e-12
+        assert violations == 0
+
+    @pytest.mark.parametrize(
+        "name, breaker",
+        [
+            ("consistent_sets", _drop_first_feasible_set),
+            ("comp", _comp_dropping_a_pd_item),
+            ("dd", _dd_adding_a_non_core_item),
+            ("w_scomp", _w_scomp_returning_the_dd_core),
+        ],
+        ids=["truth-feasible", "feasible-in-comp", "dd-core-in-feasible", "wscomp-reproduces"],
+    )
+    def test_each_check_catches_its_broken_decoder(self, monkeypatch, name, breaker):
+        # Each mutation can trip only its own check, so a count above 0
+        # shows that check fires.
+        monkeypatch.setattr(oracle, name, breaker(getattr(oracle, name)))
+        assert oracle.verify(1, 60)[2] > 0
+
+    @pytest.mark.parametrize("error", [1e-9, float("nan")])
+    @pytest.mark.parametrize("closed_form", ["weighted_moments", "unweighted_moments"])
+    def test_moment_checks_catch_a_wrong_closed_form(self, monkeypatch, closed_form, error):
+        real = getattr(theory, closed_form)
+
+        def broken(*args):
+            moments = real(*args)
+            return replace(moments, mu_nd=moments.mu_nd + error)
+
+        monkeypatch.setattr(theory, closed_form, broken)
+        worst = dict(zip(["weighted_moments", "unweighted_moments"], oracle.verify(5, 0)))
+        assert not worst.pop(closed_form) <= 1e-12  # NaN counts as a failure
+        assert worst.popitem()[1] <= 1e-12
+
+    def test_budget_cap(self):
+        with pytest.raises(ValueError, match="^--n-max is capped at 16 by the enumeration budget$"):
+            oracle.verify(17, 0)

@@ -170,9 +170,6 @@ class TestCoefficientFunctions:
         assert all(v < 0 for v in f2s) and all(a > b for a, b in zip(f2s, f2s[1:]))
         assert all(v < 0 for v in f4s) and all(a < b for a, b in zip(f4s, f4s[1:]))
 
-    def test_variant_f3_differs_beyond_k1(self):
-        assert coefficient_functions(2)[2] != coefficient_functions(2, variant_f3=True)[2]
-
 
 class TestFValue:
     def test_residual_hand_assembly(self):
