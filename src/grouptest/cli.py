@@ -113,11 +113,17 @@ def _dump_json(data: dict, path: str | None):
 
 def _cmd_design(args) -> int:
     if args.kind == "bernoulli":
-        field, value, missing = "inclusion_prob", args.p, "bernoulli design needs --p or --k"
+        field, flag, value = "inclusion_prob", "--p", args.p
+        missing = "bernoulli design needs --p or --k"
+        foreign, foreign_value = "--column-weight", args.column_weight
     else:
-        field, value, missing = (
-            "column_weight", args.column_weight, "column designs need --column-weight or --k"
-        )
+        field, flag, value = "column_weight", "--column-weight", args.column_weight
+        missing = "column designs need --column-weight or --k"
+        foreign, foreign_value = "--p", args.p
+    if foreign_value is not None:
+        raise ValueError(f"{foreign} does not apply to {args.kind} designs; give {flag} or --k")
+    if value is not None and args.k is not None:
+        raise ValueError(f"give {flag} or --k, not both")
     if value is None:
         if args.k is None:
             raise ValueError(missing)
@@ -175,12 +181,12 @@ def _cmd_theory(args) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "N", "f_value", "residual_19", "snr_w", "snr_u"])
             for point in theory.f_grid(args.k_max, args.n_span):
-                n, k, p = point.n_items, point.n_defectives, point.p
-                snr_w = theory.weighted_moments(n, k, p).snr_per
-                snr_u = theory.unweighted_moments(k, p).snr_per
-                writer.writerow(
-                    [k, n, repr(point.f_value), repr(point.residual_19), repr(snr_w), repr(snr_u)]
-                )
+                k = point.n_defectives
+                snr_u = theory.unweighted_moments(k, point.p).snr_per
+                writer.writerow([
+                    k, point.n_items, repr(point.f_value), repr(point.residual_19),
+                    repr(point.weighted.snr_per), repr(snr_u),
+                ])
         return 0
     raise ValueError("theory needs a subcommand: snr or f")
 

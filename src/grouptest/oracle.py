@@ -67,18 +67,19 @@ def brute_force_weighted_moments(n_items: int, n_defectives: int, p: float) -> E
     """Exact inverse-weight score moments by enumeration over all peer patterns."""
     _check_enum_domain(n_items, n_defectives, p)
 
+    # One enumeration serves both focal items: only ``defectives_in``
+    # depends on the number of defective peers.
+    probs, sizes, defectives_in = _peer_patterns(n_items, n_defectives, p)
+    recip = 1.0 / (1.0 + sizes)
+
     # Defective focal item: k-1 defective peers; inclusion alone makes the
     # test positive, so every included pattern contributes 1/(1+size).
-    probs, sizes, _ = _peer_patterns(n_items, n_defectives - 1, p)
-    recip = 1.0 / (1.0 + sizes)
     base_mu_d = float((probs * recip).sum())
     base_nu_d = float((probs * recip**2).sum())
 
     # Non-defective focal item: k defective peers; the test must also hold
     # at least one of them.
-    probs, sizes, defectives_in = _peer_patterns(n_items, n_defectives, p)
     positive = defectives_in >= 1
-    recip = 1.0 / (1.0 + sizes)
     q = float(probs[positive].sum())
     raw_mu_nd = float((probs * recip * positive).sum())
     raw_nu_nd = float((probs * recip**2 * positive).sum())
@@ -99,10 +100,9 @@ def brute_force_unweighted_moments(n_defectives: int, p: float, n_items: int) ->
     """Exact indicator score moments by the same enumeration."""
     _check_enum_domain(n_items, n_defectives, p)
 
-    probs, _, _ = _peer_patterns(n_items, n_defectives - 1, p)
+    probs, _, defectives_in = _peer_patterns(n_items, n_defectives, p)
     base_mu_d = float(probs.sum())  # inclusion suffices; contribution is 1
 
-    probs, _, defectives_in = _peer_patterns(n_items, n_defectives, p)
     positive = defectives_in >= 1
     q = float(probs[positive].sum())
     raw_mu_nd = float((probs * positive).sum())

@@ -34,7 +34,7 @@ class PlotSpec:
     output_path: str
     overlay_counting_bound: bool = False
     zoom: tuple[int, int] | None = None
-    smooth_window: int | None = None  # only meaningful for the delta metric
+    smooth_window: int | None = None  # the delta metric only
 
 
 def _read_rows(path: str) -> list[dict]:
@@ -57,6 +57,8 @@ def build_series(spec: PlotSpec) -> tuple[dict[str, list[tuple[float, float]]], 
         raise ValueError(
             f"unknown metric {spec.metric!r}; choose from {sorted(METRIC_COLUMNS)}"
         )
+    if spec.smooth_window is not None and spec.metric != "delta":
+        raise ValueError(f"smooth_window applies to the delta metric only, not {spec.metric!r}")
     rows = _read_rows(spec.input_csv)
     column = METRIC_COLUMNS[spec.metric]
     _require_column(rows, column)

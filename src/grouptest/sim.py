@@ -27,26 +27,6 @@ from .model import sample_defective_set, run_tests
 
 ALGORITHMS = tuple(DECODERS)
 
-# The CSV header: one column per ``SweepRow`` field, in field order.
-CSV_COLUMNS = [
-    "design",
-    "algorithm",
-    "N",
-    "k",
-    "T",
-    "alpha",
-    "n_trials",
-    "master_seed",
-    "success_prob",
-    "mean_fn",
-    "mean_fp",
-    "mean_jaccard",
-    "mean_f1",
-    "mean_misclassified",
-    "counting_bound",
-]
-
-
 @dataclass(frozen=True)
 class SimConfig:
     n_items: int
@@ -117,6 +97,21 @@ class SweepRow:
     counting_bound: float
 
 
+# The CSV header: the ``SweepRow`` field names in order, the sizes shortened.
+_SHORT_NAMES = {"n_items": "N", "n_defectives": "k", "n_tests": "T"}
+CSV_COLUMNS = [_SHORT_NAMES.get(f.name, f.name) for f in fields(SweepRow)]
+
+# Each mean field of a ``SweepRow`` and the ``RecoveryStats`` field it averages.
+_MEANS = {
+    "success_prob": "exact",
+    "mean_fn": "false_negatives",
+    "mean_fp": "false_positives",
+    "mean_jaccard": "jaccard",
+    "mean_f1": "f1",
+    "mean_misclassified": "misclassified",
+}
+
+
 @dataclass(frozen=True)
 class SweepResult:
     config: SimConfig
@@ -160,21 +155,19 @@ def design_spec_for(design_kind: str, n_items: int, n_defectives: int, n_tests: 
 
 
 def run_trial(
-    n_items: int,
-    n_defectives: int,
     design_spec: design_mod.DesignSpec,
+    n_defectives: int,
     algorithms,
     alpha: float,
     trial_seed,
 ) -> dict[str, RecoveryStats]:
-    """One independent trial: fresh matrix, fresh defective set, all decoders.
-
-    ``trial_seed`` may be an int or a tuple of ints; the matrix and the
-    defective set get independent sub-seeds derived from it.
+    """One independent trial on ``design_spec.n_items`` items: fresh matrix,
+    fresh defective set, all decoders. ``trial_seed`` may be an int or a tuple
+    of ints; the matrix and the defective set get independent sub-seeds from it.
     """
     state = np.random.SeedSequence(trial_seed).generate_state(2, np.uint64)
     matrix = design_mod.generate(replace(design_spec, seed=int(state[0])))
-    truth = sample_defective_set(n_items, n_defectives, int(state[1]))
+    truth = sample_defective_set(design_spec.n_items, n_defectives, int(state[1]))
     outcomes = run_tests(matrix, truth)
     return {
         name: confusion(truth, decode(name, matrix, outcomes, alpha).estimate)
@@ -183,47 +176,29 @@ def run_trial(
 
 
 def run_sweep(config: SimConfig) -> SweepResult:
-    """Full benchmark sweep; a pure function of the config."""
+    """Full benchmark sweep; a pure function of the config.
+
+    Each T's trials are collected in trial order, then averaged in that order.
+    """
     rows = []
     for n_tests in config.t_values:
-        spec = design_spec_for(
-            config.design_kind, config.n_items, config.n_defectives, n_tests
-        )
-        per_algo: dict[str, list[RecoveryStats]] = {a: [] for a in config.algorithms}
-        for trial in range(config.n_trials):
-            trial_stats = run_trial(
-                config.n_items,
-                config.n_defectives,
-                spec,
-                config.algorithms,
-                config.alpha,
+        spec = design_spec_for(config.design_kind, config.n_items, config.n_defectives, n_tests)
+        trials = [
+            run_trial(
+                spec, config.n_defectives, config.algorithms, config.alpha,
                 trial_seed=(config.master_seed, n_tests, trial),
             )
-            for a in config.algorithms:
-                per_algo[a].append(trial_stats[a])
+            for trial in range(config.n_trials)
+        ]
+        n = len(trials)
         bound = counting_bound(config.n_items, config.n_defectives, n_tests)
         for a in config.algorithms:
-            collected = per_algo[a]
-            n = len(collected)
-            rows.append(
-                SweepRow(
-                    design=config.design_kind,
-                    algorithm=a,
-                    n_items=config.n_items,
-                    n_defectives=config.n_defectives,
-                    n_tests=n_tests,
-                    alpha=config.alpha,
-                    n_trials=n,
-                    master_seed=config.master_seed,
-                    success_prob=sum(s.exact for s in collected) / n,
-                    mean_fn=sum(s.false_negatives for s in collected) / n,
-                    mean_fp=sum(s.false_positives for s in collected) / n,
-                    mean_jaccard=sum(s.jaccard for s in collected) / n,
-                    mean_f1=sum(s.f1 for s in collected) / n,
-                    mean_misclassified=sum(s.misclassified for s in collected) / n,
-                    counting_bound=bound,
-                )
-            )
+            means = {mean: sum(getattr(t[a], stat) for t in trials) / n for mean, stat in _MEANS.items()}
+            rows.append(SweepRow(
+                design=config.design_kind, algorithm=a, n_items=config.n_items,
+                n_defectives=config.n_defectives, n_tests=n_tests, alpha=config.alpha,
+                n_trials=n, master_seed=config.master_seed, counting_bound=bound, **means,
+            ))
     return SweepResult(config=config, rows=tuple(rows))
 
 
@@ -231,8 +206,11 @@ def delta_points(triples, smooth_window: int | None = None) -> list[tuple]:
     """Per-T scomp minus wscomp of ``(T, algorithm, value)`` triples, sorted by T.
 
     ``smooth_window`` applies a centered simple moving average (edges use
-    the available neighbours). A T that lacks either algorithm is an error.
+    the available neighbours); a window that is not an integer of at least 1
+    is an error, as is a T that lacks either algorithm.
     """
+    if smooth_window is not None and design_mod.require_int(smooth_window, "smooth_window") < 1:
+        raise ValueError(f"smooth_window must be >= 1, got {smooth_window}")
     by_t: dict = {}
     for t, algorithm, value in triples:
         by_t.setdefault(t, {})[algorithm] = value

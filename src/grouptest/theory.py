@@ -257,6 +257,8 @@ class TheoryPoint:
     ``f_value`` comes from the fully expanded closed form; ``residual_19``
     re-assembles the same quantity from the raw moment sums and the four
     coefficient functions. The two routes must agree to 1e-9 relative.
+    ``weighted`` is the inverse-weight ``MomentSet`` at (N, k, p) that the
+    second route is built from.
     """
 
     n_items: int
@@ -269,6 +271,7 @@ class TheoryPoint:
     f4: float
     f_value: float
     residual_19: float
+    weighted: MomentSet
 
     def __post_init__(self):
         if abs(self.f_value - self.residual_19) > _CROSS_PATH_RTOL * max(1.0, abs(self.f_value)):
@@ -350,6 +353,7 @@ def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
         f4=f4,
         f_value=closed,
         residual_19=residual,
+        weighted=moments,
     )
 
 

@@ -83,6 +83,32 @@ class TestDesign:
         assert code == 1
         assert f"gt: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, flags, message",
+        [
+            ("bernoulli", ["--p", "0.3", "--column-weight", "2"],
+             "--column-weight does not apply to bernoulli designs; give --p or --k"),
+            ("bernoulli", ["--column-weight", "2"],
+             "--column-weight does not apply to bernoulli designs; give --p or --k"),
+            ("constant_column", ["--p", "0.3", "--column-weight", "2"],
+             "--p does not apply to constant_column designs; give --column-weight or --k"),
+            ("near_constant_column", ["--p", "0.3", "--k", "3"],
+             "--p does not apply to near_constant_column designs; give --column-weight or --k"),
+            ("constant_column", ["--column-weight", "2", "--k", "3"],
+             "give --column-weight or --k, not both"),
+            ("bernoulli", ["--p", "0.3", "--k", "3"], "give --p or --k, not both"),
+        ],
+    )
+    def test_conflicting_flags_rejected(self, tmp_path, capsys, kind, flags, message):
+        out = tmp_path / "m.json"
+        code = run_cli(
+            "design", "--kind", kind, "--n-items", "6", "--n-tests", "4",
+            *flags, "--seed", "1", "-o", str(out),
+        )
+        assert code == 1
+        assert f"gt: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -330,6 +356,32 @@ class TestPlot:
             assert run_cli("plot", "--input", str(csv_path), "--metric", metric, "-o", str(svg)) == 0
         assert run_cli("plot", "--input", str(csv_path), "--metric", "mean_f1", "-o", str(svg)) == 1
         assert "invalid choice: 'mean_f1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "metric, window, message",
+        [
+            ("success_prob", "3", "smooth_window applies to the delta metric only, not 'success_prob'"),
+            ("jaccard", "1", "smooth_window applies to the delta metric only, not 'jaccard'"),
+            ("delta", "-4", "smooth_window must be >= 1, got -4"),
+            ("delta", "0", "smooth_window must be >= 1, got 0"),
+        ],
+    )
+    def test_ignored_smooth_window_rejected(self, tmp_path, capsys, metric, window, message):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "n_items": 20, "n_defectives": 2, "design_kind": "bernoulli",
+            "t_values": [6, 10], "n_trials": 5, "master_seed": 1,
+        }))
+        csv_path = tmp_path / "out.csv"
+        assert run_cli("simulate", "--config", str(cfg), "-o", str(csv_path)) == 0
+        svg = tmp_path / "fig.svg"
+        code = run_cli(
+            "plot", "--input", str(csv_path), "--metric", metric,
+            "--smooth-window", window, "-o", str(svg),
+        )
+        assert code == 1
+        assert f"gt: {message}\n" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_missing_column_exits_one(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -91,7 +91,7 @@ class TestDesignSpecFor:
 class TestRunTrial:
     def test_no_defectives_trivial_recovery(self):
         spec = design_spec_for("bernoulli", 12, 0, 6)
-        stats = run_trial(12, 0, spec, ALGORITHMS, 1.0, trial_seed=3)
+        stats = run_trial(spec, 0, ALGORITHMS, 1.0, trial_seed=3)
         for algo in ("dd", "scomp", "wscomp"):
             assert stats[algo].exact
         # p = 1 puts every item in every test, so COMP is exact as well
@@ -99,14 +99,14 @@ class TestRunTrial:
 
     def test_fixed_seed_reproducible(self):
         spec = design_spec_for("bernoulli", 30, 4, 20)
-        a = run_trial(30, 4, spec, ALGORITHMS, 1.0, trial_seed=(5, 20, 7))
-        b = run_trial(30, 4, spec, ALGORITHMS, 1.0, trial_seed=(5, 20, 7))
+        a = run_trial(spec, 4, ALGORITHMS, 1.0, trial_seed=(5, 20, 7))
+        b = run_trial(spec, 4, ALGORITHMS, 1.0, trial_seed=(5, 20, 7))
         assert a == b
 
     def test_structural_error_patterns(self):
         spec = design_spec_for("bernoulli", 50, 5, 25)
         for trial in range(30):
-            stats = run_trial(50, 5, spec, ALGORITHMS, 1.0, trial_seed=(1, 25, trial))
+            stats = run_trial(spec, 5, ALGORITHMS, 1.0, trial_seed=(1, 25, trial))
             assert stats["comp"].false_negatives == 0
             assert stats["dd"].false_positives == 0
 
@@ -136,8 +136,14 @@ class TestRunSweep:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_csv_columns_exact(self):
+        # The header as the README writes it out.
+        header = (
+            "design,algorithm,N,k,T,alpha,n_trials,master_seed,success_prob,mean_fn,"
+            "mean_fp,mean_jaccard,mean_f1,mean_misclassified,counting_bound"
+        )
+        assert CSV_COLUMNS == header.split(",")
         text = run_sweep(small_config(n_trials=2, t_values=(10,))).to_csv_text()
-        assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert text.splitlines()[0] == header
 
     @pytest.mark.parametrize(
         "alpha, written", [(np.float64(0.5), "0.5"), (1, "1"), (1.0, "1.0"), (np.float64(2.0), "2.0")]
@@ -159,7 +165,7 @@ class TestRunSweep:
         sweep = run_sweep(cfg)
         spec = design_spec_for("bernoulli", cfg.n_items, cfg.n_defectives, 18)
         stats = run_trial(
-            cfg.n_items, cfg.n_defectives, spec, ("scomp",), 1.0,
+            spec, cfg.n_defectives, ("scomp",), 1.0,
             trial_seed=(cfg.master_seed, 18, 0),
         )["scomp"]
         row = sweep.row(18, "scomp")
@@ -225,3 +231,9 @@ class TestDeltaSeries:
         smooth = delta_series(sweep, smooth_window=3)
         assert [t for t, _ in raw] == [t for t, _ in smooth]
         assert smooth[1][1] == pytest.approx((raw[0][1] + raw[1][1] + raw[2][1]) / 3)
+
+    @pytest.mark.parametrize("window", [0, -4, 2.5, "3"])
+    def test_bad_window_rejected(self, window):
+        sweep = run_sweep(small_config(n_trials=5))
+        with pytest.raises(ValueError, match="smooth_window must be"):
+            delta_series(sweep, smooth_window=window)
