@@ -177,10 +177,11 @@ def _cmd_theory(args) -> int:
         print(f"SNR_U = {unweighted.snr_per:.6f}")
         return 0
     if args.theory_command == "f":
+        points = theory.f_grid(args.k_max, args.n_span)
         with open(args.output, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "N", "f_value", "residual_19", "snr_w", "snr_u"])
-            for point in theory.f_grid(args.k_max, args.n_span):
+            for point in points:
                 k = point.n_defectives
                 snr_u = theory.unweighted_moments(k, point.p).snr_per
                 writer.writerow([

@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln
-
+from .design import require_int
 from .model import ItemSet
 
 
@@ -61,18 +60,15 @@ def f1_score(truth: ItemSet, estimate: ItemSet) -> float:
 
 
 def counting_bound(n_items: int, n_defectives: int, n_tests: int) -> float:
-    """Ceiling on exact-recovery probability: min(1, 2**T / C(N, k)).
-
-    Evaluated in log space so N=500-scale binomials do not overflow.
-    """
+    """Exact ceiling on exact-recovery probability: min(1, 2**T / C(N, k)), correctly rounded."""
+    n_items = require_int(n_items, "n_items")
+    n_defectives = require_int(n_defectives, "n_defectives")
+    n_tests = require_int(n_tests, "n_tests")
     if not 0 <= n_defectives <= n_items:
         raise ValueError(f"need 0 <= k <= N, got k={n_defectives}, N={n_items}")
     if n_tests < 0:
         raise ValueError(f"n_tests must be >= 0, got {n_tests}")
-    log_choose = (
-        gammaln(n_items + 1) - gammaln(n_defectives + 1) - gammaln(n_items - n_defectives + 1)
-    )
-    log_bound = n_tests * math.log(2.0) - float(log_choose)
-    if log_bound >= 0.0:
+    choose = math.comb(n_items, n_defectives)
+    if n_tests >= choose.bit_length():
         return 1.0
-    return math.exp(log_bound)
+    return 2**n_tests / choose

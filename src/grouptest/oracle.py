@@ -166,10 +166,12 @@ def verify(n_max: int, trials: int) -> tuple[float, float, int]:
     Bernoulli instances: (1) the truth is feasible, and every feasible set
     (2) lies inside the COMP estimate and (3) contains the DD core; (4) the
     W-SCOMP estimate reproduces the outcomes. ValueError if ``n_max``
-    exceeds the enumeration budget.
+    exceeds the enumeration budget or checks nothing (below 2), or if ``trials`` < 0.
     """
     if n_max > _MAX_ENUM_ITEMS:
         raise ValueError(f"--n-max is capped at {_MAX_ENUM_ITEMS} by the enumeration budget")
+    if n_max < 2 or trials < 0:
+        raise ValueError(f"need --n-max >= 2 and --trials >= 0, got {n_max} and {trials}")
     devs_w, devs_u = [0.0], [0.0]
     for n in range(2, n_max + 1):
         for k in range(1, n):

@@ -70,12 +70,16 @@ class SimConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimConfig":
         """Optional fields absent from ``data`` take their defaults, but
-        ``master_seed`` must be given so that every sweep names its seed."""
+        ``master_seed`` must be given so that every sweep names its seed.
+        A key that is not a field, such as a misspelt one, is rejected."""
         design_mod.require_keys(
             data, "simulation config",
             "n_items", "n_defectives", "design_kind", "t_values", "master_seed",
         )
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+        unknown = data.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"simulation config has unknown keys: {sorted(unknown)}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ positivity function f(N, k) whose sign certifies that the weighted rule
 never has a smaller SNR than the unweighted one, and the Chebyshev /
 Bhattacharyya / Bernstein error bounds driven by the SNR.
 
-All binomial probabilities are evaluated through log-gamma so that
-N = 500-scale sums neither overflow nor lose the small tails; the
-ingredients of f(N, k) that mix huge binomials with tiny powers are
-combined term-by-term in log space before exponentiation.
+All binomial probabilities are evaluated in log space, with log C(n, j)
+taken as running sums of log((n+1-j)/j), so that N = 500-scale sums
+neither overflow nor lose the small tails; the ingredients of f(N, k)
+that mix huge binomials with tiny powers are combined term-by-term in
+log space before exponentiation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 _SNR_TOL = 1e-12
 _CROSS_PATH_RTOL = 1e-9
@@ -44,8 +44,15 @@ def coverage_prob(n_defectives: int, p: float) -> float:
     return -math.expm1(n_defectives * math.log1p(-p))
 
 
+def _log_binom(n: int) -> np.ndarray:
+    """log C(n, j) for j = 0..n, as running sums of log((n + 1 - j) / j)."""
+    out = np.zeros(n + 1)
+    np.log(np.arange(n, 0, -1) / np.arange(1, n + 1), out=out[1:])
+    return np.add.accumulate(out, out=out)
+
+
 def binom_pmf(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) pmf over j = 0..n, evaluated via log-gamma."""
+    """Binomial(n, p) pmf over j = 0..n, evaluated in log space."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if p <= 0.0:
@@ -57,14 +64,7 @@ def binom_pmf(n: int, p: float) -> np.ndarray:
         out[n] = 1.0
         return out
     j = np.arange(n + 1)
-    log_pmf = (
-        gammaln(n + 1)
-        - gammaln(j + 1)
-        - gammaln(n - j + 1)
-        + j * math.log(p)
-        + (n - j) * math.log1p(-p)
-    )
-    return np.exp(log_pmf)
+    return np.exp(_log_binom(n) + j * math.log(p) + (n - j) * math.log1p(-p))
 
 
 @dataclass(frozen=True)
@@ -284,14 +284,7 @@ class TheoryPoint:
 def _log_space_sum(n: int, k: int, log_c_prefactor: float) -> float:
     """sum_s C(n, s) / (s * k**s), each term scaled by exp(log_c_prefactor)."""
     s = np.arange(1, n + 1)
-    log_terms = (
-        gammaln(n + 1)
-        - gammaln(s + 1)
-        - gammaln(n - s + 1)
-        - np.log(s)
-        - s * math.log(k)
-        + log_c_prefactor
-    )
+    log_terms = _log_binom(n)[1:] - np.log(s) - s * math.log(k) + log_c_prefactor
     return math.fsum(np.exp(log_terms))
 
 
@@ -409,7 +402,9 @@ def jensen_bounds(n_items: int, n_defectives: int) -> tuple[float, float]:
 
 
 def f_grid(k_max: int, n_span: int):
-    """TheoryPoints for k = 1..k_max, N = k+1..k+n_span (row-major order)."""
+    """TheoryPoints for k = 1..k_max, N = k+1..k+n_span (row-major order), both >= 1."""
+    if k_max < 1 or n_span < 1:
+        raise ValueError(f"need k_max >= 1 and n_span >= 1, got {k_max} and {n_span}")
     points = []
     for k in range(1, k_max + 1):
         for n in range(k + 1, k + n_span + 1):

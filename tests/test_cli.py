@@ -1,9 +1,13 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grouptest
 from grouptest import cli
 from grouptest.cli import main
 from grouptest.plotting import METRIC_COLUMNS
@@ -254,6 +258,17 @@ class TestSimulate:
         cfg.write_text(json.dumps(data))
         assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1
 
+    @pytest.mark.parametrize("key, value", [("n_trails", 5), ("alhpa", 0.5)])
+    def test_misspelt_config_key_exits_one(self, tmp_path, capsys, key, value):
+        cfg = self.config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data[key] = value
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--config", str(cfg), "-o", str(out)) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha, written", [(1, "1"), (1.0, "1.0"), (0.5, "0.5")])
     def test_alpha_written_as_given(self, tmp_path, alpha, written):
         cfg = self.config(tmp_path)
@@ -294,6 +309,12 @@ class TestTheory:
         ]
         assert [line.split(",") for line in lines[1:]] == expected
 
+    @pytest.mark.parametrize("k_max, n_span", [("-3", "2"), ("2", "0")])
+    def test_empty_f_grid_exits_one(self, tmp_path, k_max, n_span):
+        out = tmp_path / "f.csv"
+        assert run_cli("theory", "f", "--k-max", k_max, "--n-span", n_span, "-o", str(out)) == 1
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passes_on_small_budget(self, capsys):
@@ -304,6 +325,13 @@ class TestVerify:
 
     def test_excessive_budget_rejected(self):
         assert run_cli("verify", "--n-max", "40") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [("--n-max", "-3", "--trials", "-5"), ("--n-max", "1"), ("--trials", "-1")]
+    )
+    def test_nothing_to_check_exits_one(self, capsys, argv):
+        assert run_cli("verify", *argv) == 1
+        assert "all checks passed" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("error", [1e-9, float("nan")])
     def test_wrong_closed_form_exits_two(self, monkeypatch, capsys, error):
@@ -409,3 +437,33 @@ class TestUsage:
         assert run_cli(*args) == 0
         first = path.read_bytes()
         assert run_cli(*args) == 0 and path.read_bytes() == first
+
+
+# Blocks every scipy import, then runs one command of each numeric kind.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from grouptest.cli import main
+with open("sim.json", "w") as fh:
+    json.dump({"n_items": 25, "n_defectives": 2, "design_kind": "bernoulli",
+               "t_values": [8], "n_trials": 5, "master_seed": 1}, fh)
+commands = [
+    ["theory", "snr", "--n", "500", "--k", "10"],
+    ["theory", "f", "--k-max", "2", "--n-span", "4", "-o", "f.csv"],
+    ["verify", "--n-max", "6", "--trials", "20"],
+    ["simulate", "--config", "sim.json", "-o", "s.csv"],
+]
+sys.exit(max(main(argv) for argv in commands))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(grouptest.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path, env=env,
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "verify: all checks passed" in done.stdout
+    assert (tmp_path / "f.csv").exists() and (tmp_path / "s.csv").exists()

@@ -1,6 +1,9 @@
 import itertools
 import math
+import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from grouptest.metrics import confusion, counting_bound, f1_score, jaccard
@@ -81,6 +84,30 @@ class TestCountingBound:
         threshold = math.ceil(math.log2(math.comb(30, 4)))
         assert counting_bound(30, 4, threshold) == 1.0
         assert counting_bound(30, 4, threshold - 1) < 1.0
+
+    def test_exact_on_small_grid(self):
+        # Every (N, k, T) with N <= 40 and T <= 60 against exact rational arithmetic.
+        for n in range(41):
+            for k in range(n + 1):
+                choose = math.comb(n, k)
+                for t in range(61):
+                    assert counting_bound(n, k, t) == min(1.0, float(Fraction(2**t, choose)))
+
+    def test_numpy_integers_give_the_same_floats(self):
+        # T >= 64 with a bound below 1: 2**np.int64(T) would wrap to 0.
+        for n, k, t in [(40, 20, 30), (25, 2, 8), (500, 10, 67), (5000, 50, 70), (6, 0, 0)]:
+            got = counting_bound(np.int64(n), np.int32(k), np.int64(t))
+            assert got == counting_bound(n, k, t)
+
+    @pytest.mark.parametrize("args", [(10, 2, 10.5), (10.0, 2, 5), (10, np.float64(2), 5)])
+    def test_non_integer_rejected(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            counting_bound(*args)
+
+    def test_huge_t_is_one_at_once(self):
+        start = time.perf_counter()
+        assert counting_bound(500, 10, 10**7) == 1.0
+        assert time.perf_counter() - start < 0.1
 
 
 def test_jaccard_never_exceeds_f1_exhaustively():

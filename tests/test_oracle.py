@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grouptest import oracle, theory
-from grouptest.decoders import comp, scomp, w_scomp
+from grouptest.decoders import comp
 from grouptest.design import DesignMatrix, DesignSpec, gen_bernoulli
 from grouptest.model import ItemSet, OutcomeVector, run_tests, sample_defective_set
 from grouptest.oracle import (
@@ -118,12 +118,6 @@ class TestDecoderSoundnessAgainstOracle:
             assert truth in feasible
             for candidate in feasible:
                 assert set(candidate.members) <= pd_set
-            if len(feasible) == 1:
-                assert feasible[0] == truth
-            for decode in (scomp, w_scomp):
-                est = decode(matrix, y).estimate
-                if est == truth:
-                    assert truth in feasible
 
 
 def _drop_first_feasible_set(real):
@@ -172,7 +166,7 @@ class TestVerify:
         # Each mutation can trip only its own check, so a count above 0
         # shows that check fires.
         monkeypatch.setattr(oracle, name, breaker(getattr(oracle, name)))
-        assert oracle.verify(1, 60)[2] > 0
+        assert oracle.verify(2, 60)[2] > 0
 
     @pytest.mark.parametrize("error", [1e-9, float("nan")])
     @pytest.mark.parametrize("closed_form", ["weighted_moments", "unweighted_moments"])
@@ -191,3 +185,8 @@ class TestVerify:
     def test_budget_cap(self):
         with pytest.raises(ValueError, match="^--n-max is capped at 16 by the enumeration budget$"):
             oracle.verify(17, 0)
+
+    @pytest.mark.parametrize("n_max, trials", [(1, 0), (-3, 5), (5, -5)])
+    def test_nothing_to_check_rejected(self, n_max, trials):
+        with pytest.raises(ValueError, match="need --n-max >= 2 and --trials >= 0"):
+            oracle.verify(n_max, trials)

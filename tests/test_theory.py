@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import binom
 
 from grouptest.theory import (
+    _log_binom,
     bayes_bound,
     bernstein_bound,
     binom_pmf,
@@ -32,6 +33,12 @@ class TestCoverageProb:
 
     def test_p_zero(self):
         assert coverage_prob(7, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 16, 240, 500, 5000])
+def test_log_binom_matches_exact_integers(n):
+    exact = [math.log(math.comb(n, j)) for j in range(n + 1)]
+    np.testing.assert_allclose(_log_binom(n), exact, rtol=0, atol=1e-11)
 
 
 def test_binom_pmf_matches_scipy():
