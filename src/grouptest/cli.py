@@ -103,7 +103,7 @@ def _load_json(path: str) -> dict:
 
 
 def _dump_json(data: dict, path: str | None):
-    text = json.dumps(data, indent=2) + "\n"
+    text = json.dumps(data) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

@@ -91,10 +91,10 @@ def _check_dims(matrix: DesignMatrix, outcomes: OutcomeVector):
 def check_alpha(alpha) -> float:
     """``alpha`` as a float; ValueError unless it is a finite number >= 0.
 
-    NaN, infinity and non-numbers are rejected.
+    NaN, infinity, booleans and non-numbers are rejected.
     """
     try:
-        ok = math.isfinite(alpha) and alpha >= 0
+        ok = not isinstance(alpha, (bool, np.bool_)) and math.isfinite(alpha) and alpha >= 0
     except (TypeError, OverflowError):
         ok = False
     if not ok:

@@ -35,8 +35,8 @@ class DesignSpec:
 
     Exactly the parameter relevant to ``design_kind`` must be set:
     ``inclusion_prob`` for bernoulli, ``column_weight`` for the column
-    designs. ``seed`` may be any value acceptable to numpy's SeedSequence
-    (an unsigned int or a tuple of ints).
+    designs. ``seed`` is a SeedSequence entropy: an int >= 0 or a tuple of
+    them (ValueError otherwise).
     """
 
     design_kind: str
@@ -58,7 +58,7 @@ class DesignSpec:
             if self.inclusion_prob is None or self.column_weight is not None:
                 raise ValueError("bernoulli design takes inclusion_prob only")
             p = self.inclusion_prob
-            if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"inclusion_prob must be a number in [0, 1], got {p!r}")
             if isinstance(p, np.generic):  # params["p"] must stay JSON-serialisable
                 object.__setattr__(self, "inclusion_prob", p.item())
@@ -71,6 +71,11 @@ class DesignSpec:
                 raise ValueError(
                     f"column_weight {self.column_weight} exceeds n_tests {self.n_tests}"
                 )
+        is_tuple = isinstance(self.seed, tuple)
+        seeds = tuple(require_int(s, "seed") for s in (self.seed if is_tuple else (self.seed,)))
+        if any(s < 0 for s in seeds):
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", seeds if is_tuple else seeds[0])
 
 
 class DesignMatrix:
@@ -281,12 +286,20 @@ def require_keys(data: dict, what: str, *keys: str) -> None:
             raise ValueError(f"{what} JSON lacks the required key {key!r}")
 
 
+_BOOLS = (bool, np.bool_)
+
+
 def require_int(value, what: str) -> int:
-    """``value`` as an int (``operator.index``); ValueError naming ``what`` if it is not one."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as an int (``operator.index``); ValueError naming ``what`` if it is not one.
+
+    Booleans, Python's and numpy's, are not integers here.
+    """
+    if not isinstance(value, _BOOLS):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _seed_for_params(seed) -> int | list[int]:

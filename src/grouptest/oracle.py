@@ -1,8 +1,10 @@
 """Brute-force references that validate the closed forms at small scale.
 
 The moment oracles enumerate every inclusion pattern of the N-1 peer items
-(2**(N-1) patterns, capped at N = 16) and take probability-weighted sums,
-so they share no code path with the analytic formulas they check.
+(2**(N-1) patterns, capped at N = 16) and take probability-weighted sums of
+the score (1 + size)**-alpha, so they share no code path with the analytic
+formulas they check. One enumeration serves both: the weighted oracle is
+alpha = 1, the unweighted (indicator) oracle alpha = 0.
 ``consistent_sets`` exhaustively lists the defective sets a decoder could
 legitimately output, which underpins the exact-recovery feasibility checks.
 ``verify`` runs both kinds of check as the ``gt verify`` suite.
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import theory
 from .decoders import comp, dd, w_scomp
-from .design import DesignMatrix, DesignSpec, generate
+from .design import DesignMatrix, DesignSpec, generate, require_int
 from .model import ItemSet, OutcomeVector, run_tests, sample_defective_set
 
 _MAX_ENUM_ITEMS = 16
@@ -54,35 +56,42 @@ def _peer_patterns(n_items: int, n_defective_peers: int, p: float):
     return probs, sizes, defectives_in
 
 
-def _check_enum_domain(n_items: int, n_defectives: int, p: float):
+def _check_enum_domain(n_items: int, n_defectives: int, p: float) -> tuple[int, int]:
+    n_items = require_int(n_items, "n_items")
+    n_defectives = require_int(n_defectives, "n_defectives")
     if n_items > _MAX_ENUM_ITEMS:
         raise ValueError(f"enumeration budget is N <= {_MAX_ENUM_ITEMS}, got {n_items}")
     if not 1 <= n_defectives < n_items:
         raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+    return n_items, n_defectives
 
 
-def brute_force_weighted_moments(n_items: int, n_defectives: int, p: float) -> EnumeratedMoments:
-    """Exact inverse-weight score moments by enumeration over all peer patterns."""
-    _check_enum_domain(n_items, n_defectives, p)
+def _enumerated_moments(n_items: int, n_defectives: int, p: float, alpha: float) -> EnumeratedMoments:
+    """Exact moments of the score (1 + size)**-alpha over all peer patterns.
+
+    ``size`` counts the peers pooled with the focal item, so alpha = 1 is
+    the inverse-weight rule and alpha = 0 the indicator rule.
+    """
+    n_items, n_defectives = _check_enum_domain(n_items, n_defectives, p)
 
     # One enumeration serves both focal items: only ``defectives_in``
     # depends on the number of defective peers.
     probs, sizes, defectives_in = _peer_patterns(n_items, n_defectives, p)
-    recip = 1.0 / (1.0 + sizes)
+    score = (1.0 + sizes) ** -alpha
 
     # Defective focal item: k-1 defective peers; inclusion alone makes the
-    # test positive, so every included pattern contributes 1/(1+size).
-    base_mu_d = float((probs * recip).sum())
-    base_nu_d = float((probs * recip**2).sum())
+    # test positive, so every included pattern contributes its score.
+    base_mu_d = float((probs * score).sum())
+    base_nu_d = float((probs * score**2).sum())
 
     # Non-defective focal item: k defective peers; the test must also hold
     # at least one of them.
     positive = defectives_in >= 1
     q = float(probs[positive].sum())
-    raw_mu_nd = float((probs * recip * positive).sum())
-    raw_nu_nd = float((probs * recip**2 * positive).sum())
+    raw_mu_nd = float((probs * score * positive).sum())
+    raw_nu_nd = float((probs * score**2 * positive).sum())
 
     return EnumeratedMoments(
         mu_d=p * base_mu_d,
@@ -96,29 +105,14 @@ def brute_force_weighted_moments(n_items: int, n_defectives: int, p: float) -> E
     )
 
 
+def brute_force_weighted_moments(n_items: int, n_defectives: int, p: float) -> EnumeratedMoments:
+    """Exact inverse-weight score moments by enumeration over all peer patterns."""
+    return _enumerated_moments(n_items, n_defectives, p, 1.0)
+
+
 def brute_force_unweighted_moments(n_defectives: int, p: float, n_items: int) -> EnumeratedMoments:
-    """Exact indicator score moments by the same enumeration."""
-    _check_enum_domain(n_items, n_defectives, p)
-
-    probs, _, defectives_in = _peer_patterns(n_items, n_defectives, p)
-    base_mu_d = float(probs.sum())  # inclusion suffices; contribution is 1
-
-    positive = defectives_in >= 1
-    q = float(probs[positive].sum())
-    raw_mu_nd = float((probs * positive).sum())
-    base_nd = raw_mu_nd / q if q > 0 else 0.0
-
-    # Indicator contributions square to themselves, so second moments equal firsts.
-    return EnumeratedMoments(
-        mu_d=p * base_mu_d,
-        nu_d=p * base_mu_d,
-        mu_nd=p * raw_mu_nd,
-        nu_nd=p * raw_mu_nd,
-        base_mu_d=base_mu_d,
-        base_nu_d=base_mu_d,
-        base_mu_nd=base_nd,
-        base_nu_nd=base_nd,
-    )
+    """Exact indicator score moments by the same enumeration (the weight at alpha = 0)."""
+    return _enumerated_moments(n_items, n_defectives, p, 0.0)
 
 
 def consistent_sets(matrix: DesignMatrix, outcomes: OutcomeVector, n_defectives: int) -> list[ItemSet]:

@@ -3,9 +3,11 @@
 For a Bernoulli(p) design with k defectives among N items, the per-test
 score contribution of an item under the weighted rule is 1/w_t when the
 item sits in a positive test (w_t counting all candidate items in the
-test), and under the unweighted rule it is the plain indicator. This
-module evaluates the exact conditional moments of those contributions for
-defective and non-defective items, the per-test signal-to-noise ratio
+test), and under the unweighted rule it is the plain indicator, which is
+1/w_t**alpha at alpha = 0. This module evaluates the exact conditional
+moments of those contributions for defective and non-defective items (one
+derivation turns either rule's base moments into mu, nu and the SNR; the
+indicator's base moments are all 1), the per-test signal-to-noise ratio
 
     SNR_per = (mu_D - mu_ND) / sqrt(sigma_D^2 + sigma_ND^2),
 
@@ -29,12 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import require_int
+
 _SNR_TOL = 1e-12
 _CROSS_PATH_RTOL = 1e-9
 
 
 def coverage_prob(n_defectives: int, p: float) -> float:
     """Probability q(k) = 1 - (1-p)**k that a test holds at least one defective."""
+    n_defectives = require_int(n_defectives, "n_defectives")
     if n_defectives < 0:
         raise ValueError(f"n_defectives must be >= 0, got {n_defectives}")
     if not 0.0 <= p <= 1.0:
@@ -53,6 +58,7 @@ def _log_binom(n: int) -> np.ndarray:
 
 def binom_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) pmf over j = 0..n, evaluated in log space."""
+    n = require_int(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if p <= 0.0:
@@ -117,26 +123,26 @@ def _nd_base_moments(n_items: int, n_defectives: int, p: float) -> tuple[float, 
     return mean, mean_sq
 
 
-def _check_k_below_n(n_items: int, n_defectives: int):
+def _check_k_below_n(n_items: int, n_defectives: int) -> tuple[int, int]:
+    # (N, k) as Python ints, so numpy integers cannot overflow downstream.
+    n_items = require_int(n_items, "n_items")
+    n_defectives = require_int(n_defectives, "n_defectives")
     if not 1 <= n_defectives < n_items:
         raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
+    return n_items, n_defectives
 
 
-def _check_domain(n_items: int, n_defectives: int, p: float):
-    _check_k_below_n(n_items, n_defectives)
+def _check_domain(n_items: int, n_defectives: int, p: float) -> tuple[int, int]:
+    n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got {p}")
+    return n_items, n_defectives
 
 
-def weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
-    """Exact per-test moments of the inverse-weight score contribution."""
-    _check_domain(n_items, n_defectives, p)
-    q = coverage_prob(n_defectives, p)
-    base_mu_d = _mean_reciprocal_weight_defective(n_items, p)
-    pmf = binom_pmf(n_items - 1, p)
-    base_nu_d = float((pmf / (1.0 + np.arange(n_items)) ** 2).sum())
-    base_mu_nd, base_nu_nd = _nd_base_moments(n_items, n_defectives, p)
-
+def _moment_set(rule, p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd) -> MomentSet:
+    # The one derivation of mu, nu, delta_mu, sigma^2 and the SNR from base
+    # moments: an item is pooled with probability p, and a non-defective
+    # item's test is positive with probability q.
     mu_d = p * base_mu_d
     nu_d = p * base_nu_d
     mu_nd = p * q * base_mu_nd
@@ -151,7 +157,7 @@ def weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
         delta_mu=delta_mu,
         sigma2=sigma2,
         snr_per=delta_mu / math.sqrt(sigma2),
-        rule="weighted",
+        rule=rule,
         base_mu_d=base_mu_d,
         base_nu_d=base_nu_d,
         base_mu_nd=base_mu_nd,
@@ -159,31 +165,25 @@ def weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
     )
 
 
+def weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
+    """Exact per-test moments of the inverse-weight score contribution."""
+    n_items, n_defectives = _check_domain(n_items, n_defectives, p)
+    q = coverage_prob(n_defectives, p)
+    base_mu_d = _mean_reciprocal_weight_defective(n_items, p)
+    pmf = binom_pmf(n_items - 1, p)
+    base_nu_d = float((pmf / (1.0 + np.arange(n_items)) ** 2).sum())
+    base_mu_nd, base_nu_nd = _nd_base_moments(n_items, n_defectives, p)
+    return _moment_set("weighted", p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd)
+
+
 def unweighted_moments(n_defectives: int, p: float) -> MomentSet:
-    """Exact per-test moments of the indicator score contribution."""
+    """Exact per-test moments of the indicator score, 1/w**alpha at alpha = 0: base moments 1."""
+    n_defectives = require_int(n_defectives, "n_defectives")
     if n_defectives < 1:
         raise ValueError(f"need k >= 1, got {n_defectives}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got {p}")
-    q = coverage_prob(n_defectives, p)
-    mu_d = nu_d = p
-    mu_nd = nu_nd = p * q
-    delta_mu = p * (1.0 - q)
-    sigma2 = p * (1.0 - p) + p * q * (1.0 - p * q)
-    return MomentSet(
-        mu_d=mu_d,
-        nu_d=nu_d,
-        mu_nd=mu_nd,
-        nu_nd=nu_nd,
-        delta_mu=delta_mu,
-        sigma2=sigma2,
-        snr_per=delta_mu / math.sqrt(sigma2),
-        rule="unweighted",
-        base_mu_d=1.0,
-        base_nu_d=1.0,
-        base_mu_nd=1.0,
-        base_nu_nd=1.0,
-    )
+    return _moment_set("unweighted", p, coverage_prob(n_defectives, p), 1.0, 1.0, 1.0, 1.0)
 
 
 def snr_aggregate(snr_per: float, n_tests: int) -> float:
@@ -197,7 +197,7 @@ def snr_aggregate(snr_per: float, n_tests: int) -> float:
 
 def numerator_identity(n_items: int, n_defectives: int, p: float) -> float:
     """Closed form of E[W_D] - q(k) E[W_ND]; strictly positive on 0 < k < N."""
-    _check_domain(n_items, n_defectives, p)
+    n_items, n_defectives = _check_domain(n_items, n_defectives, p)
     remaining = n_items - n_defectives
     return (
         (1.0 - p) ** n_defectives
@@ -208,7 +208,7 @@ def numerator_identity(n_items: int, n_defectives: int, p: float) -> float:
 
 def mu_nd_closed_form(n_items: int, n_defectives: int) -> float:
     """Mean reciprocal pool weight of a non-defective item at p = 1/(k+1)."""
-    _check_k_below_n(n_items, n_defectives)
+    n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
     k = n_defectives
     n = n_items
     c = k / (k + 1.0)
@@ -218,7 +218,7 @@ def mu_nd_closed_form(n_items: int, n_defectives: int) -> float:
 
 def second_moment_sum(n_items: int, n_defectives: int, p: float) -> float:
     """The combination E[W_D^2] + q(k) E[W_ND^2] via two single binomial sums."""
-    _check_domain(n_items, n_defectives, p)
+    n_items, n_defectives = _check_domain(n_items, n_defectives, p)
     n, k = n_items, n_defectives
     s_full = np.arange(1, n + 1)
     first = 2.0 / (n * p) * float((binom_pmf(n, p)[1:] / s_full).sum())
@@ -239,6 +239,7 @@ def coefficient_functions(n_defectives: int) -> tuple[float, float, float, float
     derivation; it is not equivalent (at k = 1 it gives 0.3125, not 0.25)
     and is not used here.
     """
+    n_defectives = require_int(n_defectives, "n_defectives")
     if n_defectives < 1:
         raise ValueError(f"need k >= 1, got {n_defectives}")
     p = 1.0 / (n_defectives + 1)
@@ -290,7 +291,7 @@ def _log_space_sum(n: int, k: int, log_c_prefactor: float) -> float:
 
 def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
     """Evaluate the positivity function f(N, k) by both computation routes."""
-    _check_k_below_n(n_items, n_defectives)
+    n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
     n, k = n_items, n_defectives
     p = 1.0 / (k + 1)
     q = coverage_prob(k, p)
@@ -352,7 +353,7 @@ def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
 
 def snr_dominance(n_items: int, n_defectives: int) -> bool:
     """True when the weighted per-test SNR is at least the unweighted one."""
-    _check_k_below_n(n_items, n_defectives)
+    n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
     p = 1.0 / (n_defectives + 1)
     snr_w = weighted_moments(n_items, n_defectives, p).snr_per
     snr_u = unweighted_moments(n_defectives, p).snr_per
@@ -393,7 +394,7 @@ def jensen_bounds(n_items: int, n_defectives: int) -> tuple[float, float]:
     count k p / q + (N-k-1) p in the denominator, the bound reduces to
     ((k+1) q / (N q + k))^2.
     """
-    _check_k_below_n(n_items, n_defectives)
+    n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
     n, k = n_items, n_defectives
     q = coverage_prob(k, 1.0 / (k + 1))
     lower_d = ((k + 1.0) / (n + k)) ** 2

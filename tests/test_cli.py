@@ -65,6 +65,17 @@ class TestDesign:
         )
         assert code == 1
 
+    def test_writes_compact_json(self, matrix_file):
+        text = matrix_file.read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        code = run_cli(
+            "design", "--kind", "bernoulli", "--n-items", "4", "--n-tests", "2",
+            "--p", "0.5", "--seed", "-1", "-o", str(tmp_path / "m.json"),
+        )
+        assert code == 1 and "seed must be >= 0" in capsys.readouterr().err
+
     def test_bad_probability_exits_one(self, tmp_path):
         code = run_cli(
             "design", "--kind", "bernoulli", "--n-items", "4", "--n-tests", "2",

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,7 +298,7 @@ class TestDesignMatrix:
         with pytest.raises(ValueError, match="must be an integer"):
             DesignSpec(kind, *sizes, **param)
 
-    @pytest.mark.parametrize("p", ["0.5", [0.5], 0.5j, b"0"])
+    @pytest.mark.parametrize("p", ["0.5", [0.5], 0.5j, b"0", True, False])
     def test_non_numeric_inclusion_prob_rejected(self, p):
         with pytest.raises(ValueError, match="inclusion_prob"):
             DesignSpec("bernoulli", 5, 4, inclusion_prob=p)
@@ -313,6 +314,20 @@ class TestDesignMatrix:
         # The matrix JSON can be written, and an integer 0 or 1 stays an integer.
         p_json = json.loads(json.dumps(matrix.to_json_dict()))["params"]["p"]
         assert p_json == p and isinstance(p_json, int) == isinstance(p, (int, np.integer))
+
+    @pytest.mark.parametrize(
+        "seed", [1.5, "3", None, True, np.bool_(False), -1, (1, 2.0), (1, -2), [1, 2]]
+    )
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            DesignSpec("bernoulli", 5, 4, inclusion_prob=0.5, seed=seed)
+
+    def test_integer_like_seeds_normalised(self):
+        spec = DesignSpec("bernoulli", 5, 4, inclusion_prob=0.5, seed=np.uint64(7))
+        assert spec.seed == 7 and type(spec.seed) is int
+        spec = DesignSpec("bernoulli", 5, 4, inclusion_prob=0.5, seed=(np.int64(3), 4))
+        assert spec.seed == (3, 4) and all(type(s) is int for s in spec.seed)
+        assert generate(spec) == generate(replace(spec, seed=(3, 4)))
 
     def test_integer_like_sizes_normalised(self):
         spec = DesignSpec("constant_column", np.int64(6), np.int32(4), column_weight=np.int8(2))

@@ -44,7 +44,10 @@ class TestItemSet:
 
     @pytest.mark.parametrize(
         "members, universe_size",
-        [((-0.5, 2.9), 3), (("2",), 3), ((1.0,), 3), ((None,), 3), ((0,), 3.0), ((0,), "3")],
+        [
+            ((-0.5, 2.9), 3), (("2",), 3), ((1.0,), 3), ((None,), 3), ((0,), 3.0), ((0,), "3"),
+            ((True,), 3), ((np.bool_(True),), 3), ((0,), True),
+        ],
     )
     def test_non_integer_indices_rejected(self, members, universe_size):
         with pytest.raises(ValueError, match="must be an integer"):

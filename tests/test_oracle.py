@@ -57,6 +57,41 @@ class TestUnweightedEnumeration:
         with pytest.raises(ValueError):
             brute_force_unweighted_moments(2, 0.5, 20)
 
+    def test_indicator_moments_square_to_themselves(self):
+        # The enumeration at alpha = 0 scores every pooled item 1, so the
+        # second moments equal the firsts and the base moments are 1.
+        for n in range(2, 13):
+            for k in range(1, n):
+                for p in (0.1, 0.5, 1 / (k + 1)):
+                    e = brute_force_unweighted_moments(k, p, n)
+                    assert e.nu_d == e.mu_d and e.nu_nd == e.mu_nd
+                    for base in (e.base_mu_d, e.base_nu_d, e.base_mu_nd, e.base_nu_nd):
+                        assert abs(base - 1.0) <= 1e-14
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: brute_force_weighted_moments(5.5, 2, 0.3), "n_items"),
+            (lambda: brute_force_weighted_moments(5, 2.0, 0.3), "n_defectives"),
+            (lambda: brute_force_unweighted_moments(2.5, 0.3, 5), "n_defectives"),
+            (lambda: brute_force_unweighted_moments(2, 0.3, "5"), "n_items"),
+            (lambda: brute_force_unweighted_moments(True, 0.3, 5), "n_defectives"),
+        ],
+    )
+    def test_non_integers_rejected(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert brute_force_weighted_moments(np.int64(6), np.int32(2), 0.3) == (
+            brute_force_weighted_moments(6, 2, 0.3)
+        )
+        assert brute_force_unweighted_moments(np.int64(2), 0.3, np.uint8(6)) == (
+            brute_force_unweighted_moments(2, 0.3, 6)
+        )
+
 
 class TestConsistentSets:
     def test_unique_explanation(self):

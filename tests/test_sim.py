@@ -58,10 +58,12 @@ class TestConfig:
             ("master_seed", "11"),
             ("algorithms", "comp"),
             ("algorithms", [["comp"]]),
+            ("alpha", True),
+            ("n_items", True),
         ],
     )
     def test_wrong_types_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
 
     def test_integer_like_values_normalised(self):

@@ -100,6 +100,51 @@ class TestUnweightedMoments:
     def test_snr_vanishes_with_p(self):
         assert unweighted_moments(3, 1e-12).snr_per == pytest.approx(0.0, abs=1e-5)
 
+    def test_matches_paper_closed_forms(self):
+        # The indicator's moments come from the shared derivation with all
+        # base moments 1; they must equal the paper's hand-written forms.
+        # Near q = 1, p - pq and p(1 - q) cancel alike, so only abs holds there.
+        for k in range(1, 41):
+            for p in (0.05, 0.3, 1 / (k + 1), 0.9):
+                m = unweighted_moments(k, p)
+                q = coverage_prob(k, p)
+                assert (m.mu_d, m.nu_d, m.mu_nd, m.nu_nd) == (p, p, p * q, p * q)
+                assert m.delta_mu == pytest.approx(p * (1 - q), rel=1e-15, abs=1e-16)
+                assert m.sigma2 == pytest.approx(
+                    p * (1 - p) + p * q * (1 - p * q), rel=1e-15, abs=1e-16
+                )
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: weighted_moments(10.5, 2, 0.3), "n_items"),
+            (lambda: weighted_moments(10, 2.0, 0.3), "n_defectives"),
+            (lambda: f_value(10.5, 2), "n_items"),
+            (lambda: f_value(10, "2"), "n_defectives"),
+            (lambda: binom_pmf(4.5, 0.3), "n"),
+            (lambda: unweighted_moments(2.5, 0.3), "n_defectives"),
+            (lambda: coverage_prob(2.5, 0.3), "n_defectives"),
+            (lambda: coefficient_functions(1.5), "n_defectives"),
+            (lambda: mu_nd_closed_form(10, True), "n_defectives"),
+            (lambda: jensen_bounds(np.float64(10), 2), "n_items"),
+            (lambda: snr_dominance(10, None), "n_defectives"),
+            (lambda: numerator_identity(10.0, 2, 0.3), "n_items"),
+        ],
+    )
+    def test_non_integers_rejected(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert weighted_moments(np.int64(10), np.int32(2), 0.3) == weighted_moments(10, 2, 0.3)
+        assert f_value(np.int64(12), np.uint8(3)).residual_19 == f_value(12, 3).residual_19
+        assert unweighted_moments(np.int16(4), 0.2) == unweighted_moments(4, 0.2)
+        assert coverage_prob(np.int64(3), 0.2) == coverage_prob(3, 0.2)
+        assert coefficient_functions(np.int64(3)) == coefficient_functions(3)
+        assert np.array_equal(binom_pmf(np.int64(6), 0.3), binom_pmf(6, 0.3))
+
 
 class TestSnrAggregate:
     def test_values(self):
