@@ -51,9 +51,7 @@ class DesignSpec:
             raise ValueError(f"unknown design_kind {self.design_kind!r}")
         for name in ("n_items", "n_tests", "column_weight"):
             if name != "column_weight" or self.column_weight is not None:
-                object.__setattr__(self, name, require_int(getattr(self, name), name))
-        if self.n_items < 1 or self.n_tests < 1:
-            raise ValueError("n_items and n_tests must be >= 1")
+                object.__setattr__(self, name, require_int(getattr(self, name), name, 1))
         if self.design_kind == "bernoulli":
             if self.inclusion_prob is None or self.column_weight is not None:
                 raise ValueError("bernoulli design takes inclusion_prob only")
@@ -65,16 +63,12 @@ class DesignSpec:
         else:
             if self.column_weight is None or self.inclusion_prob is not None:
                 raise ValueError(f"{self.design_kind} design takes column_weight only")
-            if self.column_weight < 1:
-                raise ValueError(f"column_weight must be >= 1, got {self.column_weight}")
             if self.design_kind == "constant_column" and self.column_weight > self.n_tests:
                 raise ValueError(
                     f"column_weight {self.column_weight} exceeds n_tests {self.n_tests}"
                 )
         is_tuple = isinstance(self.seed, tuple)
-        seeds = tuple(require_int(s, "seed") for s in (self.seed if is_tuple else (self.seed,)))
-        if any(s < 0 for s in seeds):
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        seeds = tuple(require_int(s, "seed", 0) for s in (self.seed if is_tuple else (self.seed,)))
         object.__setattr__(self, "seed", seeds if is_tuple else seeds[0])
 
 
@@ -93,17 +87,24 @@ class DesignMatrix:
         if design_kind not in DESIGN_KINDS + ("explicit",):
             raise ValueError(f"unknown design_kind {design_kind!r}")
         self.n_tests = len(rows)
-        self.n_items = require_int(n_items, "n_items")
+        self.n_items = require_int(n_items, "n_items", 0)
         self.design_kind = design_kind
+        if params is not None and not isinstance(params, dict):
+            raise ValueError(f"params must be a JSON object, got {params!r}")
         self.params = dict(params or {})
         dense = np.zeros((self.n_tests, self.n_items), dtype=bool)
         # All rows in one pass; test t's indices are flat[ends[t]:ends[t + 1]].
         # A bad row stops the pass, but an out-of-range index in an earlier
-        # row is still reported first.
+        # row is still reported first. Plain ints are taken as they are; other
+        # indices go through operator.index, which JSON true/false would pass.
         flat, ends, bad_row = [], [0], None
         for t, row in enumerate(rows):
             try:
-                flat.extend(map(operator.index, row))
+                items = list(row)
+                types = set(map(type, items))
+                if not types.isdisjoint(_BOOLS):
+                    raise TypeError
+                flat.extend(items if types <= {int} else map(operator.index, items))
             except TypeError:
                 del flat[ends[-1]:]
                 bad_row = (t, row)
@@ -195,7 +196,7 @@ class DesignMatrix:
     def from_json_dict(cls, data: dict) -> "DesignMatrix":
         require_keys(data, "matrix", "rows", "n_items", "n_tests")
         rows = data["rows"]
-        if not isinstance(rows, list) or len(rows) != data["n_tests"]:
+        if not isinstance(rows, list) or len(rows) != require_int(data["n_tests"], "n_tests"):
             raise ValueError("rows must be a list of n_tests pools")
         return cls(
             rows,
@@ -289,17 +290,22 @@ def require_keys(data: dict, what: str, *keys: str) -> None:
 _BOOLS = (bool, np.bool_)
 
 
-def require_int(value, what: str) -> int:
-    """``value`` as an int (``operator.index``); ValueError naming ``what`` if it is not one.
+def require_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int (``operator.index``); ValueError naming ``what`` if it is
+    not one, or if it is below ``minimum`` when that is given.
 
+    The package checks every integer argument here and nowhere else.
     Booleans, Python's and numpy's, are not integers here.
     """
-    if not isinstance(value, _BOOLS):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        if isinstance(value, _BOOLS):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {number}")
+    return number
 
 
 def _seed_for_params(seed) -> int | list[int]:
@@ -309,15 +315,13 @@ def _seed_for_params(seed) -> int | list[int]:
 
 def optimal_bernoulli_p(n_defectives: int) -> float:
     """Inclusion probability 1/(k+1) that balances sparsity and information."""
-    if n_defectives < 1:
-        raise ValueError("optimal inclusion probability is undefined for k < 1")
-    return 1.0 / (n_defectives + 1)
+    return 1.0 / (require_int(n_defectives, "n_defectives", 1) + 1)
 
 
 def optimal_column_weight(n_tests: int, n_defectives: int) -> int:
     """Tests per item floor((T/k) ln 2), the information-maximizing choice."""
-    if n_tests < 1 or n_defectives < 1:
-        raise ValueError("n_tests and n_defectives must be >= 1")
+    n_tests = require_int(n_tests, "n_tests", 1)
+    n_defectives = require_int(n_defectives, "n_defectives", 1)
     weight = math.floor((n_tests / n_defectives) * math.log(2))
     if weight < 1:
         raise ValueError(

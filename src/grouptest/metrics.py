@@ -63,11 +63,9 @@ def counting_bound(n_items: int, n_defectives: int, n_tests: int) -> float:
     """Exact ceiling on exact-recovery probability: min(1, 2**T / C(N, k)), correctly rounded."""
     n_items = require_int(n_items, "n_items")
     n_defectives = require_int(n_defectives, "n_defectives")
-    n_tests = require_int(n_tests, "n_tests")
+    n_tests = require_int(n_tests, "n_tests", 0)
     if not 0 <= n_defectives <= n_items:
         raise ValueError(f"need 0 <= k <= N, got k={n_defectives}, N={n_items}")
-    if n_tests < 0:
-        raise ValueError(f"n_tests must be >= 0, got {n_tests}")
     choose = math.comb(n_items, n_defectives)
     if n_tests >= choose.bit_length():
         return 1.0

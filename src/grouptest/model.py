@@ -25,7 +25,7 @@ class ItemSet:
     def __post_init__(self):
         members = tuple(sorted({require_int(i, "item index") for i in self.members}))
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "universe_size", require_int(self.universe_size, "universe_size"))
+        object.__setattr__(self, "universe_size", require_int(self.universe_size, "universe_size", 0))
         if members and (members[0] < 0 or members[-1] >= self.universe_size):
             raise ValueError(
                 f"item index outside [0, {self.universe_size}): {members}"
@@ -111,6 +111,8 @@ class OutcomeVector:
 
 def sample_defective_set(n_items: int, n_defectives: int, seed) -> ItemSet:
     """Uniform draw over all size-k subsets of [0, N); deterministic per seed."""
+    n_items = require_int(n_items, "n_items")
+    n_defectives = require_int(n_defectives, "n_defectives")
     if not 0 <= n_defectives <= n_items:
         raise ValueError(
             f"need 0 <= k <= N, got k={n_defectives}, N={n_items}"

@@ -121,6 +121,7 @@ def consistent_sets(matrix: DesignMatrix, outcomes: OutcomeVector, n_defectives:
     Returned in lexicographic order of the member tuples.
     """
     n = matrix.n_items
+    n_defectives = require_int(n_defectives, "n_defectives")
     if not 0 <= n_defectives <= n:
         raise ValueError(f"need 0 <= k <= N, got k={n_defectives}, N={n}")
     if math.comb(n, n_defectives) > _MAX_SUBSETS:
@@ -162,6 +163,7 @@ def verify(n_max: int, trials: int) -> tuple[float, float, int]:
     W-SCOMP estimate reproduces the outcomes. ValueError if ``n_max``
     exceeds the enumeration budget or checks nothing (below 2), or if ``trials`` < 0.
     """
+    n_max, trials = require_int(n_max, "n_max"), require_int(trials, "trials")
     if n_max > _MAX_ENUM_ITEMS:
         raise ValueError(f"--n-max is capped at {_MAX_ENUM_ITEMS} by the enumeration budget")
     if n_max < 2 or trials < 0:

@@ -39,18 +39,17 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_items", "n_defectives", "n_trials", "master_seed"):
-            object.__setattr__(self, name, design_mod.require_int(getattr(self, name), name))
+        floors = {"n_items": None, "n_defectives": None, "n_trials": 1, "master_seed": 0}
+        for name, minimum in floors.items():
+            object.__setattr__(self, name, design_mod.require_int(getattr(self, name), name, minimum))
         for name in ("t_values", "algorithms"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
-        t_values = tuple(design_mod.require_int(t, "each t_values entry") for t in self.t_values)
+        t_values = tuple(design_mod.require_int(t, "each t_values entry", 1) for t in self.t_values)
         object.__setattr__(self, "t_values", t_values)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if not self.t_values or any(t < 1 for t in self.t_values):
-            raise ValueError("t_values must be nonempty and positive")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        if not self.t_values:
+            raise ValueError("t_values must be nonempty")
         if not 0 <= self.n_defectives <= self.n_items:
             raise ValueError("need 0 <= k <= N")
         if self.design_kind not in design_mod.DESIGN_KINDS:
@@ -58,7 +57,11 @@ class SimConfig:
         unknown = [a for a in self.algorithms if not isinstance(a, str) or a not in DECODERS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
-        check_alpha(self.alpha)
+        # The float, so that equal configs write equal CSV bytes (1 and 1.0 alike).
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        # Every T's design is checked here, before any trial of an earlier T runs.
+        for n_tests in self.t_values:
+            design_spec_for(self.design_kind, self.n_items, self.n_defectives, n_tests)
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,8 +216,8 @@ def delta_points(triples, smooth_window: int | None = None) -> list[tuple]:
     the available neighbours); a window that is not an integer of at least 1
     is an error, as is a T that lacks either algorithm.
     """
-    if smooth_window is not None and design_mod.require_int(smooth_window, "smooth_window") < 1:
-        raise ValueError(f"smooth_window must be >= 1, got {smooth_window}")
+    if smooth_window is not None:
+        smooth_window = design_mod.require_int(smooth_window, "smooth_window", 1)
     by_t: dict = {}
     for t, algorithm, value in triples:
         by_t.setdefault(t, {})[algorithm] = value

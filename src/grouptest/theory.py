@@ -39,9 +39,7 @@ _CROSS_PATH_RTOL = 1e-9
 
 def coverage_prob(n_defectives: int, p: float) -> float:
     """Probability q(k) = 1 - (1-p)**k that a test holds at least one defective."""
-    n_defectives = require_int(n_defectives, "n_defectives")
-    if n_defectives < 0:
-        raise ValueError(f"n_defectives must be >= 0, got {n_defectives}")
+    n_defectives = require_int(n_defectives, "n_defectives", 0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if p == 1.0:
@@ -58,9 +56,7 @@ def _log_binom(n: int) -> np.ndarray:
 
 def binom_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) pmf over j = 0..n, evaluated in log space."""
-    n = require_int(n, "n")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = require_int(n, "n", 0)
     if p <= 0.0:
         out = np.zeros(n + 1)
         out[0] = 1.0
@@ -178,9 +174,7 @@ def weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
 
 def unweighted_moments(n_defectives: int, p: float) -> MomentSet:
     """Exact per-test moments of the indicator score, 1/w**alpha at alpha = 0: base moments 1."""
-    n_defectives = require_int(n_defectives, "n_defectives")
-    if n_defectives < 1:
-        raise ValueError(f"need k >= 1, got {n_defectives}")
+    n_defectives = require_int(n_defectives, "n_defectives", 1)
     if not 0.0 < p < 1.0:
         raise ValueError(f"need 0 < p < 1, got {p}")
     return _moment_set("unweighted", p, coverage_prob(n_defectives, p), 1.0, 1.0, 1.0, 1.0)
@@ -188,9 +182,8 @@ def unweighted_moments(n_defectives: int, p: float) -> MomentSet:
 
 def snr_aggregate(snr_per: float, n_tests: int) -> float:
     """Aggregate SNR over T independent tests: sqrt(T) * per-test SNR."""
-    if n_tests < 0:
-        raise ValueError(f"n_tests must be >= 0, got {n_tests}")
-    if snr_per < 0:
+    n_tests = require_int(n_tests, "n_tests", 0)
+    if not snr_per >= 0:
         raise ValueError(f"snr_per must be >= 0, got {snr_per}")
     return math.sqrt(n_tests) * snr_per
 
@@ -239,9 +232,7 @@ def coefficient_functions(n_defectives: int) -> tuple[float, float, float, float
     derivation; it is not equivalent (at k = 1 it gives 0.3125, not 0.25)
     and is not used here.
     """
-    n_defectives = require_int(n_defectives, "n_defectives")
-    if n_defectives < 1:
-        raise ValueError(f"need k >= 1, got {n_defectives}")
+    n_defectives = require_int(n_defectives, "n_defectives", 1)
     p = 1.0 / (n_defectives + 1)
     q = coverage_prob(n_defectives, p)
     f1 = 1.0 - 2.0 * p * q + q
@@ -362,25 +353,24 @@ def snr_dominance(n_items: int, n_defectives: int) -> bool:
 
 def chebyshev_bound(snr_t: float) -> float:
     """Midpoint-threshold error bound 4 / SNR_T^2, capped at 1."""
-    if snr_t <= 0:
+    if not snr_t > 0:
         raise ValueError(f"snr_t must be > 0, got {snr_t}")
     return min(1.0, 4.0 / snr_t**2)
 
 
 def bayes_bound(snr_t: float) -> float:
     """Bhattacharyya bound on the Bayes error: 0.5 exp(-SNR_T^2 / 4)."""
-    if snr_t < 0:
+    if not snr_t >= 0:
         raise ValueError(f"snr_t must be >= 0, got {snr_t}")
     return 0.5 * math.exp(-(snr_t**2) / 4.0)
 
 
 def bernstein_bound(n_tests: int, sigma2: float, deviation_cap: float, eps: float) -> float:
     """Bernstein tail bound for an aggregated score, capped at 1."""
-    if n_tests < 1:
-        raise ValueError(f"n_tests must be >= 1, got {n_tests}")
-    if sigma2 < 0:
+    n_tests = require_int(n_tests, "n_tests", 1)
+    if not sigma2 >= 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    if deviation_cap <= 0 or eps <= 0:
+    if not (deviation_cap > 0 and eps > 0):
         raise ValueError("deviation_cap and eps must be > 0")
     raw = 2.0 * math.exp(-(eps**2) / (2.0 * n_tests * sigma2 + 2.0 * deviation_cap * eps / 3.0))
     return min(1.0, raw)
@@ -404,8 +394,8 @@ def jensen_bounds(n_items: int, n_defectives: int) -> tuple[float, float]:
 
 def f_grid(k_max: int, n_span: int):
     """TheoryPoints for k = 1..k_max, N = k+1..k+n_span (row-major order), both >= 1."""
-    if k_max < 1 or n_span < 1:
-        raise ValueError(f"need k_max >= 1 and n_span >= 1, got {k_max} and {n_span}")
+    k_max = require_int(k_max, "k_max", 1)
+    n_span = require_int(n_span, "n_span", 1)
     points = []
     for k in range(1, k_max + 1):
         for n in range(k + 1, k + n_span + 1):

@@ -197,8 +197,14 @@ class TestDecode:
             ("matrix", lambda d: d["rows"][0].append(1.7)),
             ("outcomes", lambda d: d["bits"].__setitem__(0, 2)),
             ("outcomes", lambda d: d["bits"].__setitem__(0, "no")),
+            ("matrix", lambda d: d["rows"][0].append(True)),
+            ("matrix", lambda d: d.__setitem__("params", 5)),
+            ("matrix", lambda d: d.__setitem__("params", [1, 2])),
         ],
-        ids=["matrix-without-rows", "fractional-item-index", "bit-two", "bit-no"],
+        ids=[
+            "matrix-without-rows", "fractional-item-index", "bit-two", "bit-no",
+            "boolean-item-index", "params-number", "params-list",
+        ],
     )
     def test_invalid_json_content_exits_one(self, tmp_path, matrix_file, outcome_file, which, edit):
         paths = {"matrix": matrix_file, "outcomes": outcome_file}
@@ -280,7 +286,7 @@ class TestSimulate:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("alpha, written", [(1, "1"), (1.0, "1.0"), (0.5, "0.5")])
+    @pytest.mark.parametrize("alpha, written", [(1, "1.0"), (1.0, "1.0"), (0.5, "0.5")])
     def test_alpha_written_as_given(self, tmp_path, alpha, written):
         cfg = self.config(tmp_path)
         data = json.loads(cfg.read_text())
@@ -288,8 +294,18 @@ class TestSimulate:
         cfg.write_text(json.dumps(data))
         out = tmp_path / "a.csv"
         assert run_cli("simulate", "--config", str(cfg), "-o", str(out)) == 0
-        rows = list(csv.DictReader(out.open(newline="")))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 8 and {r["alpha"] for r in rows} == {written}
+
+    def test_unusable_t_exits_one_before_any_trial(self, tmp_path, capsys):
+        cfg = self.config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data.update(n_items=500, n_defectives=10, design_kind="constant_column", t_values=[100, 5])
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--config", str(cfg), "-o", str(out)) == 1
+        assert "n_tests=5 too small for k=10" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_required_somewhere(self, tmp_path):
         cfg = self.config(tmp_path, with_seed=False)

@@ -270,6 +270,12 @@ class TestDesignMatrix:
         with pytest.raises(ValueError):
             DesignMatrix([[0, 5]], n_items=3)
 
+    @pytest.mark.parametrize("params", [5, [1, 2], "p"])
+    def test_params_must_be_an_object(self, params):
+        data = {"n_tests": 1, "n_items": 2, "rows": [[0]], "params": params}
+        with pytest.raises(ValueError, match="^params must be a JSON object"):
+            DesignMatrix.from_json_dict(data)
+
     def test_empty_rows_allowed(self):
         m = DesignMatrix([[], [0]], n_items=2)
         assert m.rows[0] == ()
@@ -339,7 +345,7 @@ class TestDesignMatrix:
 class TestDesignMatrixIngest:
     def test_accepted_row_forms(self):
         rows = [[3, 1, 3], (0,), range(2, 4), {4, 0}, np.array([1, 2]), (i for i in [4]),
-                [np.int64(2), True], []]
+                [np.int64(2), 1], []]
         m = DesignMatrix(rows, n_items=5)
         assert m.rows == ((1, 3), (0,), (2, 3), (0, 4), (1, 2), (4,), (1, 2), ())
         expected = np.zeros((8, 5), dtype=bool)
@@ -362,6 +368,10 @@ class TestDesignMatrixIngest:
             ([[-1], ["a"]], "test 0 contains an item index outside [0, 3)"),
             ([["a"], [-1]], "test 0 is not a list of integer item indices: ['a']"),
             ([[2], [9, "a"]], "test 1 is not a list of integer item indices: [9, 'a']"),
+            # Booleans are not item indices, although operator.index takes Python's.
+            ([[0], [1, True]], "test 1 is not a list of integer item indices: [1, True]"),
+            ([[True, False]], "test 0 is not a list of integer item indices: [True, False]"),
+            ([[0], [np.bool_(True)]], f"test 1 is not a list of integer item indices: {[np.bool_(True)]!r}"),
         ],
     )
     def test_rejected_rows_name_the_test(self, rows, message):

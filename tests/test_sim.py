@@ -41,6 +41,9 @@ class TestConfig:
             small_config(n_defectives=41)
         with pytest.raises(ValueError):
             small_config(algorithms=("comp", "nope"))
+        # A T the design cannot serve is rejected before any trial runs.
+        with pytest.raises(ValueError, match="^n_tests=2 too small for k=3 under this design$"):
+            small_config(design_kind="constant_column", t_values=(15, 2))
         for alpha in (-1.0, float("nan"), float("inf"), "1.0"):
             with pytest.raises(ValueError):
                 small_config(alpha=alpha)
@@ -148,7 +151,7 @@ class TestRunSweep:
         assert text.splitlines()[0] == header
 
     @pytest.mark.parametrize(
-        "alpha, written", [(np.float64(0.5), "0.5"), (1, "1"), (1.0, "1.0"), (np.float64(2.0), "2.0")]
+        "alpha, written", [(np.float64(0.5), "0.5"), (1, "1.0"), (1.0, "1.0"), (np.float64(2.0), "2.0")]
     )
     def test_csv_alpha_column(self, alpha, written):
         text = run_sweep(small_config(alpha=alpha, n_trials=2, t_values=(10,))).to_csv_text()
@@ -156,6 +159,13 @@ class TestRunSweep:
         assert len(rows) == len(ALGORITHMS)
         assert all(None not in r for r in rows)  # no row longer than the header
         assert {r["alpha"] for r in rows} == {written}
+
+    def test_equal_alphas_write_equal_bytes(self):
+        texts = {
+            run_sweep(small_config(alpha=alpha, n_trials=2, t_values=(10,))).to_csv_text()
+            for alpha in (1, 1.0, np.float64(1.0))
+        }
+        assert len(texts) == 1
 
     def test_to_csv_writes_the_csv_text(self, tmp_path):
         sweep = run_sweep(small_config(n_trials=3))

@@ -151,6 +151,8 @@ class TestSnrAggregate:
         assert snr_aggregate(0.5, 4) == pytest.approx(1.0)
         assert snr_aggregate(0.73, 1) == pytest.approx(0.73)
         assert snr_aggregate(0.377964, 100) == pytest.approx(3.77964, rel=1e-6)
+        with pytest.raises(ValueError, match="snr_per"):
+            snr_aggregate(math.nan, 4)
 
 
 class TestNumeratorIdentity:
@@ -260,13 +262,16 @@ class TestBounds:
         assert chebyshev_bound(2.0) == 1.0
         assert chebyshev_bound(4.0) == 0.25
         assert chebyshev_bound(20.0) == pytest.approx(0.01)
-        with pytest.raises(ValueError):
-            chebyshev_bound(0.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                chebyshev_bound(bad)
 
     def test_bayes(self):
         assert bayes_bound(0.0) == 0.5
         assert bayes_bound(2.0) == pytest.approx(0.5 * math.exp(-1), abs=1e-6)
         assert bayes_bound(4.0) == pytest.approx(0.5 * math.exp(-4), abs=1e-6)
+        with pytest.raises(ValueError):
+            bayes_bound(math.nan)
 
     def test_bernstein(self):
         assert bernstein_bound(1, 0.25, 1.0, 1.0) == pytest.approx(0.848746, abs=1e-6)
@@ -278,6 +283,9 @@ class TestBounds:
             bernstein_bound(1, 0.25, 0.0, 1.0)
         with pytest.raises(ValueError):
             bernstein_bound(1, 0.25, 1.0, -1.0)
+        for args in ((4, math.nan, 1.0, 1.0), (4, 0.25, math.nan, 1.0), (4, 0.25, 1.0, math.nan)):
+            with pytest.raises(ValueError):
+                bernstein_bound(*args)
 
     def test_bounds_decrease_in_snr(self):
         snrs = np.linspace(2.0, 30.0, 50)
