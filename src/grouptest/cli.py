@@ -6,9 +6,10 @@ CSV), ``theory snr`` / ``theory f`` (closed-form tables), ``verify``
 (brute-force oracle suite), ``plot`` (CSV to SVG figures). Each one calls
 the library (``theory.f_grid``, ``oracle.verify``, ...) and writes the result.
 
-Exit codes: 0 success, 1 parameter/usage error, 2 verification failure,
-3 I/O error. The randomized subcommands (``design``, ``simulate``) require
-a seed so that every run is reproducible.
+Exit codes: 0 success, 1 parameter/usage error (a matrix too large to
+allocate included), 2 verification failure, 3 I/O error. The randomized
+subcommands (``design``, ``simulate``) require a seed so that every run is
+reproducible.
 """
 
 from __future__ import annotations
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"gt: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"gt: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"gt: {exc}", file=sys.stderr)

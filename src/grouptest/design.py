@@ -55,11 +55,8 @@ class DesignSpec:
         if self.design_kind == "bernoulli":
             if self.inclusion_prob is None or self.column_weight is not None:
                 raise ValueError("bernoulli design takes inclusion_prob only")
-            p = self.inclusion_prob
-            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
-                raise ValueError(f"inclusion_prob must be a number in [0, 1], got {p!r}")
-            if isinstance(p, np.generic):  # params["p"] must stay JSON-serialisable
-                object.__setattr__(self, "inclusion_prob", p.item())
+            # params["p"] must stay JSON-serialisable, and an int 0 or 1 an int.
+            object.__setattr__(self, "inclusion_prob", require_prob(self.inclusion_prob, "inclusion_prob"))
         else:
             if self.column_weight is None or self.inclusion_prob is not None:
                 raise ValueError(f"{self.design_kind} design takes column_weight only")
@@ -73,26 +70,23 @@ class DesignSpec:
 
 
 class DesignMatrix:
-    """Immutable binary T x N pooling matrix with row and column index views.
+    """Immutable binary T x N pooling matrix, held as one dense boolean array.
 
-    ``rows[t]`` lists the items pooled into test t; ``cols[i]`` lists the
-    tests item i participates in. Both views describe the same matrix. A
-    dense boolean array is kept alongside for the vectorized decoder
-    kernels. Indices are 0-based everywhere.
+    ``dense`` is the read-only array of shape (n_tests, n_items):
+    ``dense[t, i]`` is True when item i is pooled into test t. ``rows[t]``,
+    the items of test t, is derived from it on each access. Indices are
+    0-based everywhere.
     """
 
-    __slots__ = ("n_tests", "n_items", "design_kind", "params", "_rows", "_cols", "_dense")
+    __slots__ = ("n_tests", "n_items", "design_kind", "params", "dense")
 
     def __init__(self, rows, n_items: int, design_kind: str = "explicit", params: dict | None = None):
         if design_kind not in DESIGN_KINDS + ("explicit",):
             raise ValueError(f"unknown design_kind {design_kind!r}")
-        self.n_tests = len(rows)
-        self.n_items = require_int(n_items, "n_items", 0)
-        self.design_kind = design_kind
+        n_tests = len(rows)
+        n_items = require_int(n_items, "n_items", 0)
         if params is not None and not isinstance(params, dict):
             raise ValueError(f"params must be a JSON object, got {params!r}")
-        self.params = dict(params or {})
-        dense = np.zeros((self.n_tests, self.n_items), dtype=bool)
         # All rows in one pass; test t's indices are flat[ends[t]:ends[t + 1]].
         # A bad row stops the pass, but an out-of-range index in an earlier
         # row is still reported first. Plain ints are taken as they are; other
@@ -112,70 +106,46 @@ class DesignMatrix:
             ends.append(len(flat))
         try:
             idx = np.array(flat, dtype=np.int64)
-            in_range = not flat or (idx.min() >= 0 and idx.max() < self.n_items)
+            in_range = not flat or (idx.min() >= 0 and idx.max() < n_items)
         except OverflowError:
             in_range = False
         if not in_range:
-            pos = next(p for p, i in enumerate(flat) if not 0 <= i < self.n_items)
+            pos = next(p for p, i in enumerate(flat) if not 0 <= i < n_items)
             raise ValueError(
                 f"test {np.searchsorted(ends, pos, side='right') - 1} contains an item index "
-                f"outside [0, {self.n_items})"
+                f"outside [0, {n_items})"
             )
         if bad_row is not None:
             raise ValueError(f"test {bad_row[0]} is not a list of integer item indices: {bad_row[1]!r}")
-        dense[np.repeat(np.arange(len(ends) - 1), np.diff(ends)), idx] = True
-        dense.flags.writeable = False
-        self._rows = None
-        self._cols = None
-        self._dense = dense
+        dense = np.zeros((n_tests, n_items), dtype=bool)
+        dense[np.repeat(np.arange(n_tests), np.diff(ends)), idx] = True
+        self._set_fields(dense, design_kind, params)
 
     @classmethod
     def _from_dense(cls, dense: np.ndarray, design_kind: str, params: dict) -> "DesignMatrix":
-        # Fast path for the generators; row/column views are built on demand.
+        # Fast path for the generators, whose kind and params need no checks.
         self = cls.__new__(cls)
+        self._set_fields(np.ascontiguousarray(dense, dtype=bool), design_kind, params)
+        return self
+
+    def _set_fields(self, dense: np.ndarray, design_kind: str, params: dict | None) -> None:
+        dense.flags.writeable = False
         self.n_tests, self.n_items = dense.shape
         self.design_kind = design_kind
-        self.params = dict(params)
-        dense = np.ascontiguousarray(dense, dtype=bool)
-        dense.flags.writeable = False
-        self._rows = None
-        self._cols = None
-        self._dense = dense
-        return self
+        self.params = dict(params or {})
+        self.dense = dense
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        if self._rows is None:
-            self._rows = tuple(
-                tuple(np.flatnonzero(self._dense[t]).tolist()) for t in range(self.n_tests)
-            )
-        return self._rows
-
-    @property
-    def cols(self) -> tuple[tuple[int, ...], ...]:
-        if self._cols is None:
-            cols = [[] for _ in range(self.n_items)]
-            for t, row in enumerate(self.rows):
-                for i in row:
-                    cols[i].append(t)
-            self._cols = tuple(tuple(c) for c in cols)
-        return self._cols
-
-    @property
-    def dense(self) -> np.ndarray:
-        """Read-only boolean array of shape (n_tests, n_items)."""
-        return self._dense
+        """The items of each test, derived from ``dense`` on each access."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.dense)
 
     def column_weights(self) -> np.ndarray:
-        return self._dense.sum(axis=0)
+        return self.dense.sum(axis=0)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DesignMatrix)
-            and self.n_items == other.n_items
-            and self.n_tests == other.n_tests
-            and bool(np.array_equal(self._dense, other._dense))
-        )
+        # The array's shape already holds n_tests and n_items.
+        return isinstance(other, DesignMatrix) and bool(np.array_equal(self.dense, other.dense))
 
     def __repr__(self):
         return (
@@ -306,6 +276,18 @@ def require_int(value, what: str, minimum: int | None = None) -> int:
     if minimum is not None and number < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {number}")
     return number
+
+
+def require_prob(value, what: str, interior: bool = False):
+    """``value`` as a probability in [0, 1], or in (0, 1) when ``interior``;
+    ValueError naming ``what`` for a boolean, a non-number, NaN or a value
+    outside. A numpy scalar becomes the equal Python number; an int stays an int.
+    """
+    # A float, the common case, skips the slower numbers.Real check.
+    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, _BOOLS))
+    if not real or not (0 < value < 1 if interior else 0 <= value <= 1):
+        raise ValueError(f"{what} must be a number in {'(0, 1)' if interior else '[0, 1]'}, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _seed_for_params(seed) -> int | list[int]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import theory
 from .decoders import comp, dd, w_scomp
-from .design import DesignMatrix, DesignSpec, generate, require_int
+from .design import DesignMatrix, DesignSpec, generate, require_int, require_prob
 from .model import ItemSet, OutcomeVector, run_tests, sample_defective_set
 
 _MAX_ENUM_ITEMS = 16
@@ -56,16 +56,14 @@ def _peer_patterns(n_items: int, n_defective_peers: int, p: float):
     return probs, sizes, defectives_in
 
 
-def _check_enum_domain(n_items: int, n_defectives: int, p: float) -> tuple[int, int]:
+def _check_enum_domain(n_items: int, n_defectives: int, p: float) -> tuple[int, int, float]:
     n_items = require_int(n_items, "n_items")
     n_defectives = require_int(n_defectives, "n_defectives")
     if n_items > _MAX_ENUM_ITEMS:
         raise ValueError(f"enumeration budget is N <= {_MAX_ENUM_ITEMS}, got {n_items}")
     if not 1 <= n_defectives < n_items:
         raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return n_items, n_defectives
+    return n_items, n_defectives, require_prob(p, "p")
 
 
 def _enumerated_moments(n_items: int, n_defectives: int, p: float, alpha: float) -> EnumeratedMoments:
@@ -74,7 +72,7 @@ def _enumerated_moments(n_items: int, n_defectives: int, p: float, alpha: float)
     ``size`` counts the peers pooled with the focal item, so alpha = 1 is
     the inverse-weight rule and alpha = 0 the indicator rule.
     """
-    n_items, n_defectives = _check_enum_domain(n_items, n_defectives, p)
+    n_items, n_defectives, p = _check_enum_domain(n_items, n_defectives, p)
 
     # One enumeration serves both focal items: only ``defectives_in``
     # depends on the number of defective peers.
@@ -118,7 +116,8 @@ def brute_force_unweighted_moments(n_defectives: int, p: float, n_items: int) ->
 def consistent_sets(matrix: DesignMatrix, outcomes: OutcomeVector, n_defectives: int) -> list[ItemSet]:
     """Every size-k defective set that reproduces the observed outcomes exactly.
 
-    Returned in lexicographic order of the member tuples.
+    Returned in lexicographic order of the member tuples. Only the items in
+    no negative test are enumerated, and a set must meet every positive pool.
     """
     n = matrix.n_items
     n_defectives = require_int(n_defectives, "n_defectives")
@@ -132,19 +131,13 @@ def consistent_sets(matrix: DesignMatrix, outcomes: OutcomeVector, n_defectives:
         raise ValueError("outcome length does not match matrix n_tests")
 
     positive = outcomes.to_mask()
-    pos_pools = [set(matrix.rows[t]) for t in np.flatnonzero(positive)]
-    eliminated = set()
-    for t in np.flatnonzero(~positive):
-        eliminated.update(matrix.rows[t])
-
-    found = []
-    for combo in itertools.combinations(range(n), n_defectives):
-        chosen = set(combo)
-        if chosen & eliminated:
-            continue
-        if all(chosen & pool for pool in pos_pools):
-            found.append(ItemSet(combo, universe_size=n))
-    return found
+    pos_pools = [set(np.flatnonzero(pool).tolist()) for pool in matrix.dense[positive]]
+    candidates = np.flatnonzero(~matrix.dense[~positive].any(axis=0)).tolist()
+    return [
+        ItemSet(combo, universe_size=n)
+        for combo in itertools.combinations(candidates, n_defectives)
+        if all(pool.intersection(combo) for pool in pos_pools)
+    ]
 
 
 def _deviations(closed, enumerated) -> list[float]:

@@ -37,7 +37,7 @@ class PlotSpec:
     smooth_window: int | None = None  # the delta metric only
 
 
-def _read_rows(path: str) -> list[dict]:
+def _read_csv(path: str) -> list[dict]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -59,7 +59,7 @@ def build_series(spec: PlotSpec) -> tuple[dict[str, list[tuple[float, float]]], 
         )
     if spec.smooth_window is not None and spec.metric != "delta":
         raise ValueError(f"smooth_window applies to the delta metric only, not {spec.metric!r}")
-    rows = _read_rows(spec.input_csv)
+    rows = _read_csv(spec.input_csv)
     column = METRIC_COLUMNS[spec.metric]
     _require_column(rows, column)
     _require_column(rows, "T")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import require_int
+from .design import require_int, require_prob
 
 _SNR_TOL = 1e-12
 _CROSS_PATH_RTOL = 1e-9
@@ -40,8 +40,7 @@ _CROSS_PATH_RTOL = 1e-9
 def coverage_prob(n_defectives: int, p: float) -> float:
     """Probability q(k) = 1 - (1-p)**k that a test holds at least one defective."""
     n_defectives = require_int(n_defectives, "n_defectives", 0)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    p = require_prob(p, "p")
     if p == 1.0:
         return 0.0 if n_defectives == 0 else 1.0
     return -math.expm1(n_defectives * math.log1p(-p))
@@ -57,11 +56,12 @@ def _log_binom(n: int) -> np.ndarray:
 def binom_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) pmf over j = 0..n, evaluated in log space."""
     n = require_int(n, "n", 0)
-    if p <= 0.0:
+    p = require_prob(p, "p")
+    if p == 0.0:
         out = np.zeros(n + 1)
         out[0] = 1.0
         return out
-    if p >= 1.0:
+    if p == 1.0:
         out = np.zeros(n + 1)
         out[n] = 1.0
         return out
@@ -128,11 +128,8 @@ def _check_k_below_n(n_items: int, n_defectives: int) -> tuple[int, int]:
     return n_items, n_defectives
 
 
-def _check_domain(n_items: int, n_defectives: int, p: float) -> tuple[int, int]:
-    n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got {p}")
-    return n_items, n_defectives
+def _check_domain(n_items: int, n_defectives: int, p: float) -> tuple[int, int, float]:
+    return (*_check_k_below_n(n_items, n_defectives), require_prob(p, "p", interior=True))
 
 
 def _moment_set(rule, p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd) -> MomentSet:
@@ -163,7 +160,7 @@ def _moment_set(rule, p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd) -> Mom
 
 def weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
     """Exact per-test moments of the inverse-weight score contribution."""
-    n_items, n_defectives = _check_domain(n_items, n_defectives, p)
+    n_items, n_defectives, p = _check_domain(n_items, n_defectives, p)
     q = coverage_prob(n_defectives, p)
     base_mu_d = _mean_reciprocal_weight_defective(n_items, p)
     pmf = binom_pmf(n_items - 1, p)
@@ -175,8 +172,7 @@ def weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
 def unweighted_moments(n_defectives: int, p: float) -> MomentSet:
     """Exact per-test moments of the indicator score, 1/w**alpha at alpha = 0: base moments 1."""
     n_defectives = require_int(n_defectives, "n_defectives", 1)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got {p}")
+    p = require_prob(p, "p", interior=True)
     return _moment_set("unweighted", p, coverage_prob(n_defectives, p), 1.0, 1.0, 1.0, 1.0)
 
 
@@ -190,7 +186,7 @@ def snr_aggregate(snr_per: float, n_tests: int) -> float:
 
 def numerator_identity(n_items: int, n_defectives: int, p: float) -> float:
     """Closed form of E[W_D] - q(k) E[W_ND]; strictly positive on 0 < k < N."""
-    n_items, n_defectives = _check_domain(n_items, n_defectives, p)
+    n_items, n_defectives, p = _check_domain(n_items, n_defectives, p)
     remaining = n_items - n_defectives
     return (
         (1.0 - p) ** n_defectives
@@ -211,7 +207,7 @@ def mu_nd_closed_form(n_items: int, n_defectives: int) -> float:
 
 def second_moment_sum(n_items: int, n_defectives: int, p: float) -> float:
     """The combination E[W_D^2] + q(k) E[W_ND^2] via two single binomial sums."""
-    n_items, n_defectives = _check_domain(n_items, n_defectives, p)
+    n_items, n_defectives, p = _check_domain(n_items, n_defectives, p)
     n, k = n_items, n_defectives
     s_full = np.arange(1, n + 1)
     first = 2.0 / (n * p) * float((binom_pmf(n, p)[1:] / s_full).sum())

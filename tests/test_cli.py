@@ -124,6 +124,21 @@ class TestDesign:
         assert f"gt: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, param", [("bernoulli", ["--p", "0.5"]), ("near_constant_column", ["--column-weight", "1"])]
+    )
+    def test_matrix_too_large_to_allocate_exits_one(self, tmp_path, capsys, kind, param):
+        # N = 10**15 in one test needs 7.11 PiB (Bernoulli draws) or 909 TiB
+        # (the boolean matrix), above 2**48 bytes: the allocation fails untouched.
+        out = tmp_path / "m.json"
+        code = run_cli(
+            "design", "--kind", kind, "--n-items", str(10**15), "--n-tests", "1", *param,
+            "--seed", "1", "-o", str(out),
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("gt: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -217,6 +232,17 @@ class TestDecode:
             "--algo", "comp",
         )
         assert code == 1
+
+    def test_matrix_too_large_to_allocate_exits_one(self, tmp_path, capsys):
+        # 10**15 items in one test is a 909 TiB array, above 2**48 bytes, so
+        # numpy's allocation fails before any page is touched.
+        matrix = tmp_path / "huge.json"
+        matrix.write_text(json.dumps({"n_tests": 1, "n_items": 10**15, "rows": [[0]]}))
+        outcomes = tmp_path / "o.json"
+        outcomes.write_text(json.dumps({"bits": [1]}))
+        code = run_cli("decode", "--matrix", str(matrix), "--outcomes", str(outcomes), "--algo", "comp")
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("gt: Unable to allocate") and err.count("\n") == 1
 
     def test_unknown_algorithm_exits_one(self, matrix_file, outcome_file):
         code = run_cli(

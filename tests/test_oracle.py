@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +131,34 @@ class TestConsistentSets:
             found = consistent_sets(matrix, y, k)
             assert all(run_tests(matrix, s) == y for s in found)
             assert truth in found
+
+    def test_complete_against_exhaustive_search(self):
+        # The output is exactly the lexicographic list of every size-k set
+        # whose forward model reproduces the outcomes, so a feasible set
+        # dropped by the pruning fails here. Outcomes are all-negative,
+        # random (often infeasible) or generated by a true set, in turn.
+        rng = np.random.default_rng(12)
+        seen = {"k = 0": 0, "empty pool": 0, "item in no test": 0, "several sets": 0}
+        for trial in range(300):
+            n, t = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+            k = int(rng.integers(0, min(n, 4) + 1))
+            p = float(rng.uniform(0.0, 0.6))
+            matrix = DesignMatrix([np.flatnonzero(rng.random(n) < p).tolist() for _ in range(t)], n)
+            if trial % 3 == 0:
+                y = OutcomeVector((0,) * t)
+            elif trial % 3 == 1:
+                y = OutcomeVector(tuple(rng.integers(0, 2, size=t).tolist()))
+            else:
+                y = run_tests(matrix, ItemSet(tuple(rng.choice(n, size=k, replace=False).tolist()), n))
+            expected = [
+                c for c in itertools.combinations(range(n), k) if run_tests(matrix, ItemSet(c, n)) == y
+            ]
+            assert [s.members for s in consistent_sets(matrix, y, k)] == expected
+            seen["k = 0"] += k == 0
+            seen["empty pool"] += not matrix.dense.any(axis=1).all()
+            seen["item in no test"] += not matrix.dense.any(axis=0).all()
+            seen["several sets"] += len(expected) > 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestDecoderSoundnessAgainstOracle:
