@@ -15,8 +15,19 @@
   trace-for-trace; the default alpha is 1.
 
 Each decoder runs the same pass (COMP masks, then the DD core, then the
-greedy cover) and stops after the stage it needs. The greedy stage and
-``score_items`` share one scoring kernel.
+greedy cover) and returns the result of the stage it needs. The greedy
+stage and ``score_items`` share one scoring kernel.
+
+The COMP/DD stage (the positive mask, the COMP and DD results, the DD
+core, the unexplained positive tests and the greedy candidates) is one
+``_partition`` per instance, so the decoders of one trial compute it once
+and each greedy decoder runs only its own cover. Its parts are computed on
+first use, so a decoder still never pays for a later stage than its own.
+It is kept on the ``OutcomeVector`` outside its dataclass fields (equality,
+hash, repr, pickles and JSON do not see it) and reused only for the very
+``DesignMatrix`` it was computed from: both are immutable, so a reused
+stage is exact, and nothing global is kept, nor any matrix beyond the life
+of its outcomes.
 
 The greedy stage runs on one compacted block, the unexplained positive
 tests by the candidate items, and computes each w_t once. That is exact: a
@@ -39,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -148,39 +160,69 @@ def _greedy_cover(dense, unexplained, candidates, alpha, estimate) -> list[Trace
     return trace
 
 
+class _Partition:
+    """The COMP/DD stage of one ``(matrix, outcomes)`` pair, which all four
+    decoders share. COMP is computed at once; the DD core and the greedy
+    cover's inputs on first use, so a COMP decode never pays for them."""
+
+    def __init__(self, matrix: DesignMatrix, outcomes: OutcomeVector):
+        _check_dims(matrix, outcomes)
+        self.matrix = matrix
+        self.positive = outcomes.to_mask()
+        # Items in no test stay potential.
+        dnd = matrix.dense[~self.positive].any(axis=0)
+        self.pd = ~dnd
+        empty = ItemSet((), universe_size=matrix.n_items)
+        self.comp = DecodeResult(ItemSet.from_mask(self.pd), ItemSet.from_mask(dnd), empty)
+
+    @cached_property
+    def core(self) -> np.ndarray:
+        """The DD core: each PD item that is the only PD member of a positive test."""
+        pd_hits = self.matrix.dense[self.positive] & self.pd
+        core = pd_hits[pd_hits.sum(axis=1) == 1].any(axis=0)
+        core.flags.writeable = False  # shared: a greedy decoder starts from a copy
+        return core
+
+    @cached_property
+    def dd(self) -> DecodeResult:
+        core_set = ItemSet.from_mask(self.core)
+        return DecodeResult(core_set, self.comp.definite_non_defectives, core_set)
+
+    @cached_property
+    def cover(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unexplained positive tests and the candidate items."""
+        dense = self.matrix.dense
+        unexplained = self.positive & ~(dense & self.core).any(axis=1)
+        # Only items that can still explain something are candidates; this
+        # excludes the DD core, whose tests are all explained.
+        return unexplained, self.pd & dense[unexplained].any(axis=0)
+
+
+def _partition(matrix: DesignMatrix, outcomes: OutcomeVector) -> _Partition:
+    """The shared stage of ``(matrix, outcomes)``: kept on ``outcomes``
+    outside its dataclass fields and reused only for this very ``matrix``."""
+    part = outcomes.__dict__.get("_partition")
+    if part is None or part.matrix is not matrix:
+        part = _Partition(matrix, outcomes)
+        object.__setattr__(outcomes, "_partition", part)
+    return part
+
+
 def _staged_decode(
     matrix: DesignMatrix, outcomes: OutcomeVector, last_stage: str, alpha: float = 0.0
 ) -> DecodeResult:
     """COMP, then DD, then the greedy cover; returns after ``last_stage``
-    ("comp", "dd" or "greedy"), so an earlier stage never pays for a later one."""
-    _check_dims(matrix, outcomes)
-    dense = matrix.dense
-    positive = outcomes.to_mask()
-    # Items in no test stay potential.
-    dnd = dense[~positive].any(axis=0)
-    pd = ~dnd
-    dnd_set = ItemSet.from_mask(dnd)
-    if last_stage == "comp":
-        return DecodeResult(ItemSet.from_mask(pd), dnd_set, ItemSet((), universe_size=matrix.n_items))
-
-    pd_hits = dense[positive] & pd
-    core = pd_hits[pd_hits.sum(axis=1) == 1].any(axis=0)
-    if last_stage == "dd":
-        core_set = ItemSet.from_mask(core)
-        return DecodeResult(core_set, dnd_set, core_set)
-
-    estimate = core.copy()
-    unexplained = positive & ~(dense & core).any(axis=1)
-    # Only items that can still explain something are candidates; this
-    # excludes the DD core, whose tests are all explained.
-    candidates = pd & dense[unexplained].any(axis=0)
-    trace = _greedy_cover(dense, unexplained, candidates, alpha, estimate) if candidates.any() else []
-    return DecodeResult(
-        estimate=ItemSet.from_mask(estimate),
-        definite_non_defectives=dnd_set,
-        dd_core=ItemSet.from_mask(core),
-        trace=tuple(trace),
-    )
+    ("comp", "dd" or "greedy"). The COMP/DD stage is the instance's shared
+    ``_partition``; only the greedy cover is run per call."""
+    part = _partition(matrix, outcomes)
+    if last_stage != "greedy":
+        return getattr(part, last_stage)
+    unexplained, candidates = part.cover
+    estimate = part.core.copy()
+    trace = _greedy_cover(matrix.dense, unexplained, candidates, alpha, estimate) if candidates.any() else []
+    # Without a greedy step the estimate is the DD core: reuse its ItemSet.
+    estimate_set = ItemSet.from_mask(estimate) if trace else part.dd.estimate
+    return DecodeResult(estimate_set, part.comp.definite_non_defectives, part.dd.dd_core, tuple(trace))
 
 
 def comp(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:

@@ -43,7 +43,8 @@ def coverage_prob(n_defectives: int, p: float) -> float:
     p = require_prob(p, "p")
     if p == 1.0:
         return 0.0 if n_defectives == 0 else 1.0
-    return -math.expm1(n_defectives * math.log1p(-p))
+    # 0.0 - x rather than -x: a zero q is +0.0 whether p came as an int or a float.
+    return 0.0 - math.expm1(n_defectives * math.log1p(-p))
 
 
 def _log_binom(n: int) -> np.ndarray:

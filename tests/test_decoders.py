@@ -1,11 +1,17 @@
+import copy
+import itertools
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouptest.decoders import DECODERS, comp, dd, decode, scomp, score_items, w_scomp
-from grouptest.design import DesignMatrix
-from grouptest.model import ItemSet, OutcomeVector, run_tests
+from grouptest.design import DESIGN_KINDS, DesignMatrix, generate
+from grouptest.model import ItemSet, OutcomeVector, run_tests, sample_defective_set
+from grouptest.sim import design_spec_for
 
 
 @pytest.fixture
@@ -242,6 +248,72 @@ class TestStructuralInvariants:
                 res = decode(matrix, y)
                 assert not (set(res.estimate.members) & set(res.definite_non_defectives.members))
                 assert set(res.dd_core.members) <= set(res.estimate.members)
+
+
+def fresh_decode(name, matrix, outcomes, alpha=1.0):
+    """``decode`` on new copies of the instance, which share no decoding state."""
+    twin = DesignMatrix(matrix.rows, n_items=matrix.n_items)
+    return decode(name, twin, OutcomeVector(outcomes.bits), alpha)
+
+
+class TestSharedPartition:
+    """The decoders of one instance share its COMP/DD stage; no call order,
+    alpha or other matrix may change what any of them returns."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        out = []
+        for kind in DESIGN_KINDS:
+            for seed in range(3):
+                spec = replace(design_spec_for(kind, 60, 4, 16), seed=seed)
+                matrix = generate(spec)
+                truth = sample_defective_set(60, 4, seed + 100)
+                out.append((matrix, run_tests(matrix, truth)))
+        return out
+
+    def test_every_call_order_matches_a_fresh_decode(self, instances):
+        for matrix, y in instances:
+            fresh = {name: fresh_decode(name, matrix, y) for name in DECODERS}
+            for order in itertools.permutations(DECODERS):
+                y_run = OutcomeVector(y.bits)
+                for name in order:
+                    assert decode(name, matrix, y_run) == fresh[name], (order, name)
+
+    def test_alphas_between_scomp_calls(self, instances):
+        assert any(fresh_decode("scomp", m, y).trace for m, y in instances)
+        for matrix, y in instances:
+            y_run = OutcomeVector(y.bits)
+            scomp_fresh = fresh_decode("scomp", matrix, y)
+            assert scomp(matrix, y_run) == scomp_fresh
+            for alpha in (0.0, 0.5, 1.0, 3.0):
+                assert w_scomp(matrix, y_run, alpha) == fresh_decode("wscomp", matrix, y, alpha)
+                assert scomp(matrix, y_run) == scomp_fresh
+
+    def test_other_matrix_of_the_same_shape(self, instances):
+        (a, y), (b, _) = instances[:2]
+        y = OutcomeVector(y.bits)
+        assert a.dense.shape == b.dense.shape and not np.array_equal(a.dense, b.dense)
+        for matrix in (a, b, a):
+            for name in DECODERS:
+                assert decode(name, matrix, y) == fresh_decode(name, matrix, y)
+
+    def test_outcome_vector_unchanged_by_a_decode(self, instances):
+        matrix, y = instances[0]
+        y = OutcomeVector(y.bits)
+        before = (hash(y), repr(y), y.to_json_dict(), replace(y), pickle.dumps(y))
+        for name in DECODERS:
+            decode(name, matrix, y)
+        assert y == OutcomeVector(y.bits) == replace(y) == copy.copy(y)
+        assert (hash(y), repr(y), y.to_json_dict(), replace(y), pickle.dumps(y)) == before
+
+    def test_underflowing_alpha_raises_after_the_stage_is_kept(self):
+        m = DesignMatrix([[0], [1, 2], [1, 3]], n_items=4)
+        y = OutcomeVector((1, 1, 1))
+        assert dd(m, y).estimate.members == (0,)
+        for alpha in (2000.0, 1e300):
+            with pytest.raises(ValueError, match="underflowed"):
+                w_scomp(m, y, alpha=alpha)
+        assert scomp(m, y) == fresh_decode("scomp", m, y)
 
 
 @st.composite

@@ -2,10 +2,13 @@ import csv
 import hashlib
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from grouptest.decoders import DECODERS
+from grouptest.model import ItemSet
 from grouptest.sim import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -114,6 +117,27 @@ class TestRunTrial:
             stats = run_trial(spec, 5, ALGORITHMS, 1.0, trial_seed=(1, 25, trial))
             assert stats["comp"].false_negatives == 0
             assert stats["dd"].false_positives == 0
+
+    @pytest.mark.parametrize("name", ["comp", "wscomp"])
+    def test_decodes_through_the_decoders_table(self, monkeypatch, name):
+        # The benchmark times, counts greedy steps (the trace length) and
+        # corrupts the decoders through DECODERS; a trial that bypassed the
+        # table would escape all three.
+        decoder = DECODERS[name]
+        steps = []
+
+        def empty(matrix, outcomes, *args):
+            result = decoder(matrix, outcomes, *args)
+            steps.append(len(result.trace or ()))
+            return replace(result, estimate=ItemSet((), result.estimate.universe_size))
+
+        monkeypatch.setitem(DECODERS, name, empty)
+        spec = design_spec_for("bernoulli", 50, 5, 20)
+        for trial in range(10):
+            stats = run_trial(spec, 5, ALGORITHMS, 1.0, trial_seed=(3, 20, trial))
+            assert stats[name].false_negatives == 5
+        assert len(steps) == 10
+        assert (sum(steps) > 0) == (name == "wscomp")
 
 
 class TestRunSweep:

@@ -34,6 +34,11 @@ class TestCoverageProb:
     def test_p_zero(self):
         assert coverage_prob(7, 0.0) == 0.0
 
+    @pytest.mark.parametrize("p", [0, 0.0, np.float64(0)])
+    @pytest.mark.parametrize("k", range(4))
+    def test_zero_is_positive_zero(self, k, p):
+        assert math.copysign(1.0, coverage_prob(k, p)) == 1.0
+
 
 @pytest.mark.parametrize("n", [0, 1, 2, 16, 240, 500, 5000])
 def test_log_binom_matches_exact_integers(n):
