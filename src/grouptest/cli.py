@@ -256,3 +256,7 @@ def main(argv=None) -> int:
 
 def cli_main():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    cli_main()

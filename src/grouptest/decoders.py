@@ -29,6 +29,12 @@ hash, repr, pickles and JSON do not see it) and reused only for the very
 stage is exact, and nothing global is kept, nor any matrix beyond the life
 of its outcomes.
 
+After COMP the stage reads only the T x |PD| columns of the potential
+defectives, never a T x N temporary: the DD core counts the PD items of
+each test on them, the explained tests are read from the core's columns,
+and the candidates are taken from them. Its masks are mapped back to all N
+items, so the greedy stage, every ``ItemSet`` and every trace are as before.
+
 The greedy stage runs on one compacted block, the unexplained positive
 tests by the candidate items, and computes each w_t once. That is exact: a
 test stays unexplained only while none of its candidates is chosen, and an
@@ -176,10 +182,23 @@ class _Partition:
         self.comp = DecodeResult(ItemSet.from_mask(self.pd), ItemSet.from_mask(dnd), empty)
 
     @cached_property
+    def _pd_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """The PD items and their T x |PD| columns of the matrix. The row of a
+        negative test is all False there: no PD item sits in one."""
+        items = np.flatnonzero(self.pd)
+        return items, self.matrix.dense[:, items]
+
+    def _on_items(self, columns: np.ndarray) -> np.ndarray:
+        """A mask over the PD block's columns as a mask over all N items."""
+        mask = np.zeros(self.matrix.n_items, dtype=bool)
+        mask[self._pd_block[0][columns]] = True
+        return mask
+
+    @cached_property
     def core(self) -> np.ndarray:
         """The DD core: each PD item that is the only PD member of a positive test."""
-        pd_hits = self.matrix.dense[self.positive] & self.pd
-        core = pd_hits[pd_hits.sum(axis=1) == 1].any(axis=0)
+        _, block = self._pd_block
+        core = self._on_items(block[np.count_nonzero(block, axis=1) == 1].any(axis=0))
         core.flags.writeable = False  # shared: a greedy decoder starts from a copy
         return core
 
@@ -191,11 +210,12 @@ class _Partition:
     @cached_property
     def cover(self) -> tuple[np.ndarray, np.ndarray]:
         """The unexplained positive tests and the candidate items."""
-        dense = self.matrix.dense
-        unexplained = self.positive & ~(dense & self.core).any(axis=1)
+        items, block = self._pd_block
+        # A test is explained once it holds a core item: read the core's columns only.
+        unexplained = self.positive & ~block[:, self.core[items]].any(axis=1)
         # Only items that can still explain something are candidates; this
         # excludes the DD core, whose tests are all explained.
-        return unexplained, self.pd & dense[unexplained].any(axis=0)
+        return unexplained, self._on_items(block[unexplained].any(axis=0))
 
 
 def _partition(matrix: DesignMatrix, outcomes: OutcomeVector) -> _Partition:

@@ -17,6 +17,15 @@ specs, sweep configs and the ``gt design --kind`` choices check against.
 
 Generation is deterministic given the spec (including its seed) and does not
 depend on thread count or platform word order.
+
+Memory: each generator fills one preallocated T x N boolean matrix.
+``gen_bernoulli`` draws its T*N uniforms in row-major blocks of 2**17
+doubles (1 MiB) at a time; PCG64 makes each double from one
+64-bit output, so the blocks continue the stream of one whole-matrix draw
+and give the same matrix. ``gen_constant_column`` draws N indices per step.
+``gen_near_constant_column`` keeps its one (N, L) int64 draw whole: it holds
+8L bytes per item against the T bytes of the item's column, 8 ln 2 / k of
+the matrix at the optimal L, so it stays below the matrix for k >= 6.
 """
 
 from __future__ import annotations
@@ -180,13 +189,26 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+# Uniforms per draw of gen_bernoulli, 1 MiB of doubles: one block still holds
+# a whole N=500, T<=262 matrix, so a sweep trial makes a single draw.
+_BERNOULLI_BLOCK = 1 << 17
+
+
 def gen_bernoulli(spec: DesignSpec) -> DesignMatrix:
-    """Matrix with independent Bernoulli(p) entries; deterministic per (spec, seed)."""
+    """Matrix with independent Bernoulli(p) entries; deterministic per (spec, seed).
+
+    The uniforms are drawn in row-major blocks, each compared straight into
+    the matrix: it is the same stream as one whole-matrix draw.
+    """
     if spec.design_kind != "bernoulli":
         raise ValueError(f"spec is for {spec.design_kind!r}, expected bernoulli")
     p = spec.inclusion_prob
     rng = _rng(spec.seed)
-    dense = rng.random((spec.n_tests, spec.n_items)) < p
+    dense = np.empty((spec.n_tests, spec.n_items), dtype=bool)
+    flat = dense.reshape(-1)
+    for start in range(0, flat.size, _BERNOULLI_BLOCK):
+        block = flat[start:start + _BERNOULLI_BLOCK]
+        np.less(rng.random(block.size), p, out=block)
     return DesignMatrix._from_dense(
         dense, "bernoulli", {"p": p, "seed": _seed_for_params(spec.seed)}
     )

@@ -134,5 +134,5 @@ def run_tests(matrix: DesignMatrix, defectives: ItemSet) -> OutcomeVector:
             f"universe size {defectives.universe_size} does not match "
             f"matrix n_items {matrix.n_items}"
         )
-    hits = matrix.dense & defectives.to_mask()[np.newaxis, :]
-    return OutcomeVector.from_mask(hits.any(axis=1))
+    # Only the k defective columns are read: a T x k copy, not a T x N one.
+    return OutcomeVector.from_mask(matrix.dense[:, list(defectives.members)].any(axis=1))

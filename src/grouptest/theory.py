@@ -22,6 +22,10 @@ taken as running sums of log((n+1-j)/j), so that N = 500-scale sums
 neither overflow nor lose the small tails; the ingredients of f(N, k)
 that mix huge binomials with tiny powers are combined term-by-term in
 log space before exponentiation.
+
+Each public function checks its arguments once and then works through
+private helpers (``_coverage``, ``_binom_pmf``, ``_weighted_moments``, ...)
+that take checked arguments, so nested calls do not check them again.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ _CROSS_PATH_RTOL = 1e-9
 
 def coverage_prob(n_defectives: int, p: float) -> float:
     """Probability q(k) = 1 - (1-p)**k that a test holds at least one defective."""
-    n_defectives = require_int(n_defectives, "n_defectives", 0)
-    p = require_prob(p, "p")
+    return _coverage(require_int(n_defectives, "n_defectives", 0), require_prob(p, "p"))
+
+
+def _coverage(n_defectives: int, p: float) -> float:
     if p == 1.0:
         return 0.0 if n_defectives == 0 else 1.0
     # 0.0 - x rather than -x: a zero q is +0.0 whether p came as an int or a float.
@@ -56,8 +62,10 @@ def _log_binom(n: int) -> np.ndarray:
 
 def binom_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) pmf over j = 0..n, evaluated in log space."""
-    n = require_int(n, "n", 0)
-    p = require_prob(p, "p")
+    return _binom_pmf(require_int(n, "n", 0), require_prob(p, "p"))
+
+
+def _binom_pmf(n: int, p: float) -> np.ndarray:
     if p == 0.0:
         out = np.zeros(n + 1)
         out[0] = 1.0
@@ -108,9 +116,9 @@ def _mean_reciprocal_weight_defective(n_items: int, p: float) -> float:
 def _nd_base_moments(n_items: int, n_defectives: int, p: float) -> tuple[float, float]:
     # Mean and mean-square of 1/(1 + H + R) with H ~ Bin(k, p) conditioned on
     # H >= 1 and R ~ Bin(N-k-1, p) independent.
-    q = coverage_prob(n_defectives, p)
-    pmf_def = binom_pmf(n_defectives, p)[1:]
-    pmf_other = binom_pmf(n_items - n_defectives - 1, p)
+    q = _coverage(n_defectives, p)
+    pmf_def = _binom_pmf(n_defectives, p)[1:]
+    pmf_other = _binom_pmf(n_items - n_defectives - 1, p)
     h = np.arange(1, n_defectives + 1)
     r = np.arange(n_items - n_defectives)
     denom = 1.0 + h[:, np.newaxis] + r[np.newaxis, :]
@@ -161,10 +169,13 @@ def _moment_set(rule, p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd) -> Mom
 
 def weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
     """Exact per-test moments of the inverse-weight score contribution."""
-    n_items, n_defectives, p = _check_domain(n_items, n_defectives, p)
-    q = coverage_prob(n_defectives, p)
+    return _weighted_moments(*_check_domain(n_items, n_defectives, p))
+
+
+def _weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
+    q = _coverage(n_defectives, p)
     base_mu_d = _mean_reciprocal_weight_defective(n_items, p)
-    pmf = binom_pmf(n_items - 1, p)
+    pmf = _binom_pmf(n_items - 1, p)
     base_nu_d = float((pmf / (1.0 + np.arange(n_items)) ** 2).sum())
     base_mu_nd, base_nu_nd = _nd_base_moments(n_items, n_defectives, p)
     return _moment_set("weighted", p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd)
@@ -173,8 +184,11 @@ def weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
 def unweighted_moments(n_defectives: int, p: float) -> MomentSet:
     """Exact per-test moments of the indicator score, 1/w**alpha at alpha = 0: base moments 1."""
     n_defectives = require_int(n_defectives, "n_defectives", 1)
-    p = require_prob(p, "p", interior=True)
-    return _moment_set("unweighted", p, coverage_prob(n_defectives, p), 1.0, 1.0, 1.0, 1.0)
+    return _unweighted_moments(n_defectives, require_prob(p, "p", interior=True))
+
+
+def _unweighted_moments(n_defectives: int, p: float) -> MomentSet:
+    return _moment_set("unweighted", p, _coverage(n_defectives, p), 1.0, 1.0, 1.0, 1.0)
 
 
 def snr_aggregate(snr_per: float, n_tests: int) -> float:
@@ -211,12 +225,12 @@ def second_moment_sum(n_items: int, n_defectives: int, p: float) -> float:
     n_items, n_defectives, p = _check_domain(n_items, n_defectives, p)
     n, k = n_items, n_defectives
     s_full = np.arange(1, n + 1)
-    first = 2.0 / (n * p) * float((binom_pmf(n, p)[1:] / s_full).sum())
+    first = 2.0 / (n * p) * float((_binom_pmf(n, p)[1:] / s_full).sum())
     s_sub = np.arange(1, n - k + 1)
     second = (
         (1.0 - p) ** k
         / (p * (n - k))
-        * float((binom_pmf(n - k, p)[1:] / s_sub).sum())
+        * float((_binom_pmf(n - k, p)[1:] / s_sub).sum())
     )
     return first - second
 
@@ -229,9 +243,12 @@ def coefficient_functions(n_defectives: int) -> tuple[float, float, float, float
     derivation; it is not equivalent (at k = 1 it gives 0.3125, not 0.25)
     and is not used here.
     """
-    n_defectives = require_int(n_defectives, "n_defectives", 1)
+    return _coefficient_functions(require_int(n_defectives, "n_defectives", 1))
+
+
+def _coefficient_functions(n_defectives: int) -> tuple[float, float, float, float]:
     p = 1.0 / (n_defectives + 1)
-    q = coverage_prob(n_defectives, p)
+    q = _coverage(n_defectives, p)
     f1 = 1.0 - 2.0 * p * q + q
     f2 = -2.0 * q * (1.0 - p + q * (1.0 - p * q))
     f3 = q**2 * (1.0 - 2.0 * p * q + q)
@@ -282,7 +299,7 @@ def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
     n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
     n, k = n_items, n_defectives
     p = 1.0 / (k + 1)
-    q = coverage_prob(k, p)
+    q = _coverage(k, p)
     c = k / (k + 1.0)
     ck = c**k
     cn = c**n
@@ -313,8 +330,8 @@ def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
     )
     closed = math.fsum((term1, term2, term3, term4))
 
-    moments = weighted_moments(n, k, p)
-    f1, f2, f3, f4 = coefficient_functions(k)
+    moments = _weighted_moments(n, k, p)
+    f1, f2, f3, f4 = _coefficient_functions(k)
     combo = moments.base_nu_d + q * moments.base_nu_nd
     residual = math.fsum(
         (
@@ -343,8 +360,8 @@ def snr_dominance(n_items: int, n_defectives: int) -> bool:
     """True when the weighted per-test SNR is at least the unweighted one."""
     n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
     p = 1.0 / (n_defectives + 1)
-    snr_w = weighted_moments(n_items, n_defectives, p).snr_per
-    snr_u = unweighted_moments(n_defectives, p).snr_per
+    snr_w = _weighted_moments(n_items, n_defectives, p).snr_per
+    snr_u = _unweighted_moments(n_defectives, p).snr_per
     return snr_w >= snr_u - _SNR_TOL
 
 
@@ -383,7 +400,7 @@ def jensen_bounds(n_items: int, n_defectives: int) -> tuple[float, float]:
     """
     n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
     n, k = n_items, n_defectives
-    q = coverage_prob(k, 1.0 / (k + 1))
+    q = _coverage(k, 1.0 / (k + 1))
     lower_d = ((k + 1.0) / (n + k)) ** 2
     lower_nd = ((k + 1.0) * q / (n * q + k)) ** 2
     return lower_d, lower_nd

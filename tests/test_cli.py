@@ -520,3 +520,22 @@ def test_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "verify: all checks passed" in done.stdout
     assert (tmp_path / "f.csv").exists() and (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("module", ["grouptest", "grouptest.cli"])
+def test_module_form_runs_the_cli(module, tmp_path):
+    src = os.path.dirname(os.path.dirname(grouptest.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True,
+        )
+
+    done = run("verify", "--n-max", "6", "--trials", "5")
+    assert done.returncode == 0, done.stderr
+    assert "verify: all checks passed" in done.stdout
+    bare = run()
+    assert bare.returncode == 1
+    assert bare.stderr.startswith("usage: gt ")

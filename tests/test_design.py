@@ -189,7 +189,8 @@ class TestPinnedStreams:
     """sha256 of ``dense.tobytes()`` for fixed specs; a change to a generator's
     random stream fails here. The Bernoulli and near-constant digests predate
     the vectorised column generators; the constant-column ones were written
-    from them."""
+    from them. The multi-block Bernoulli digests were written from the
+    whole-matrix draw that the blocked one replaced."""
 
     @pytest.mark.parametrize(
         "kind, n_items, n_tests, param, seed, digest",
@@ -204,6 +205,14 @@ class TestPinnedStreams:
              "912ea207c8cbef659e6e6545eaf640a62344252829b6c99520838a2125f24d66"),
             ("near_constant_column", 9, 5, 8, (3, 1),
              "275a87a048b91655f602bb02e0c932bdb0cb483f5d4e4839362fbc420c7294c8"),
+            # Streams drawn in several blocks: blocks that split rows; a row
+            # wider than a block; a last block only partly filled.
+            ("bernoulli", 5000, 400, 1 / 51, 7,
+             "5b2923f537842fb43bc286b7a83a6e1abc7810a159421f85a53b306229c9defa"),
+            ("bernoulli", 200000, 3, 0.3, 11,
+             "0fd05f30af068339bbfb1594c7dc55c857fa7d37598a5e036597f59450e53b56"),
+            ("bernoulli", 333, 1001, 0.1, (5, 2),
+             "97a9d088ab482c20f25e6700d48697ac2e463d4c7016d565aa7c4acbab04ab89"),
         ],
     )
     def test_dense_digest(self, kind, n_items, n_tests, param, seed, digest):

@@ -1,0 +1,57 @@
+"""Working-memory bounds of generating, testing and decoding one large instance.
+
+tracemalloc sees numpy's data allocations, so a T x N temporary shows in
+these peaks. The instance has the size of the ``decode_large`` benchmark's:
+N=5000, T=400, k=50, p=1/51, a 2 MB matrix.
+"""
+
+import tracemalloc
+
+import pytest
+
+from grouptest import DesignSpec, OutcomeVector, dd, generate, run_tests, sample_defective_set
+
+N_ITEMS, N_TESTS, N_DEFECTIVES = 5000, 400, 50
+SPEC = DesignSpec("bernoulli", N_ITEMS, N_TESTS, inclusion_prob=1 / (N_DEFECTIVES + 1), seed=7)
+MIB = 2**20
+
+
+def _peak(call) -> int:
+    """Peak bytes traced while ``call()`` ran, above those traced before it."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def instance():
+    # One full pass first, so that imports made on first use are not counted.
+    matrix = generate(SPEC)
+    truth = sample_defective_set(N_ITEMS, N_DEFECTIVES, 8)
+    outcomes = run_tests(matrix, truth)
+    dd(matrix, outcomes)
+    return matrix, truth, outcomes
+
+
+def test_generate_holds_the_matrix_and_one_block(instance):
+    nbytes = instance[0].dense.nbytes
+    assert _peak(lambda: generate(SPEC)) <= nbytes + 2 * MIB
+
+
+def test_run_tests_reads_only_the_defective_columns(instance):
+    matrix, truth, _ = instance
+    assert _peak(lambda: run_tests(matrix, truth)) < matrix.dense.nbytes / 10
+
+
+def test_dd_works_on_the_potential_defective_columns(instance):
+    matrix, _, outcomes = instance
+    fresh = OutcomeVector(outcomes.bits)  # carries no stage from an earlier decode
+    assert _peak(lambda: dd(matrix, fresh)) < matrix.dense.nbytes
