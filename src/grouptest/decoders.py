@@ -14,26 +14,28 @@
   members are promoted first. alpha=0 recovers scomp exactly,
   trace-for-trace; the default alpha is 1.
 
-Each decoder runs the same pass (COMP masks, then the DD core, then the
-greedy cover) and returns the result of the stage it needs. The greedy
-stage and ``score_items`` share one scoring kernel.
+Each decoder reads its result from the same pass (COMP masks, then the DD
+core, then the greedy cover). The greedy stage and ``score_items`` share one
+scoring kernel.
 
-The COMP/DD stage (the positive mask, the COMP and DD results, the DD
-core, the unexplained positive tests and the greedy candidates) is one
-``_partition`` per instance, so the decoders of one trial compute it once
-and each greedy decoder runs only its own cover. Its parts are computed on
-first use, so a decoder still never pays for a later stage than its own.
-It is kept on the ``OutcomeVector`` outside its dataclass fields (equality,
-hash, repr, pickles and JSON do not see it) and reused only for the very
-``DesignMatrix`` it was computed from: both are immutable, so a reused
-stage is exact, and nothing global is kept, nor any matrix beyond the life
-of its outcomes.
+The COMP/DD stage (the COMP and DD results, the DD core and the greedy
+block) is built whole on the first decode of an instance, so the decoders
+of one trial compute it once and each greedy decoder runs only its own
+cover. It is kept on the ``OutcomeVector`` outside its dataclass fields
+(equality, hash, repr, pickles and JSON do not see it) and reused only for
+the very ``DesignMatrix`` it was computed from: both are immutable, so a
+reused stage is exact, and nothing global is kept, nor any matrix beyond
+the life of its outcomes.
 
-After COMP the stage reads only the T x |PD| columns of the potential
-defectives, never a T x N temporary: the DD core counts the PD items of
-each test on them, the explained tests are read from the core's columns,
-and the candidates are taken from them. Its masks are mapped back to all N
-items, so the greedy stage, every ``ItemSet`` and every trace are as before.
+COMP reads the negative rows through one copy (T_neg x N, about a third of
+the matrix at N=5000, T=400), freed once COMP is done: the copy-free
+reductions ``~positive @ dense`` and ``np.logical_or.reduce(..., where=...)``
+are 12x and 23x slower there. After COMP the stage reads only the T x |PD|
+columns of the potential defectives, never a T x N temporary: the DD core
+counts the PD items of each test on them, the explained tests are read from
+the core's columns, and the greedy block is cut from them. The DD core is
+mapped back to all N items, so every ``ItemSet`` and every trace are as
+before.
 
 The greedy stage runs on one compacted block, the unexplained positive
 tests by the candidate items, and computes each w_t once. That is exact: a
@@ -42,7 +44,7 @@ item stops being a candidate only once none of its tests is unexplained, so
 w_t of an unexplained test never changes. Each step sums the rows still
 unexplained and drops those the chosen item explains; traces and sweep CSV
 bytes are those of a full rescan per step. With no candidate left after DD,
-no block is built.
+the greedy stage does not run.
 
 ``decode(name, matrix, outcomes, alpha)`` runs any entry of ``DECODERS`` by
 name; it is the one place that knows only W-SCOMP takes ``alpha``.
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -135,11 +136,10 @@ def _score(sub: np.ndarray, candidates: np.ndarray, alpha: float):
     return weights, sub * coeff[:, np.newaxis]
 
 
-def _greedy_cover(dense, unexplained, candidates, alpha, estimate) -> list[TraceStep]:
-    """The greedy stage on the (unexplained tests x candidates) block, whose
-    w_t are fixed; adds the chosen items to ``estimate``, returns the trace."""
-    items = np.flatnonzero(candidates)
-    block = dense[np.ix_(np.flatnonzero(unexplained), items)]
+def _greedy_cover(block, items, alpha, estimate) -> list[TraceStep]:
+    """The greedy stage on ``block``, the (unexplained tests x candidates)
+    block whose columns are the items ``items`` and whose w_t are fixed;
+    adds the chosen items to ``estimate``, returns the trace."""
     _, increments = _score(block, np.ones(len(items), dtype=bool), alpha)
     trace: list[TraceStep] = []
     while len(block):
@@ -166,98 +166,70 @@ def _greedy_cover(dense, unexplained, candidates, alpha, estimate) -> list[Trace
     return trace
 
 
-class _Partition:
-    """The COMP/DD stage of one ``(matrix, outcomes)`` pair, which all four
-    decoders share. COMP is computed at once; the DD core and the greedy
-    cover's inputs on first use, so a COMP decode never pays for them."""
+class _Stage(NamedTuple):
+    """The COMP/DD stage of one ``(matrix, outcomes)`` pair, which all four decoders share."""
 
-    def __init__(self, matrix: DesignMatrix, outcomes: OutcomeVector):
-        _check_dims(matrix, outcomes)
-        self.matrix = matrix
-        self.positive = outcomes.to_mask()
-        # Items in no test stay potential.
-        dnd = matrix.dense[~self.positive].any(axis=0)
-        self.pd = ~dnd
-        empty = ItemSet((), universe_size=matrix.n_items)
-        self.comp = DecodeResult(ItemSet.from_mask(self.pd), ItemSet.from_mask(dnd), empty)
-
-    @cached_property
-    def _pd_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """The PD items and their T x |PD| columns of the matrix. The row of a
-        negative test is all False there: no PD item sits in one."""
-        items = np.flatnonzero(self.pd)
-        return items, self.matrix.dense[:, items]
-
-    def _on_items(self, columns: np.ndarray) -> np.ndarray:
-        """A mask over the PD block's columns as a mask over all N items."""
-        mask = np.zeros(self.matrix.n_items, dtype=bool)
-        mask[self._pd_block[0][columns]] = True
-        return mask
-
-    @cached_property
-    def core(self) -> np.ndarray:
-        """The DD core: each PD item that is the only PD member of a positive test."""
-        _, block = self._pd_block
-        core = self._on_items(block[np.count_nonzero(block, axis=1) == 1].any(axis=0))
-        core.flags.writeable = False  # shared: a greedy decoder starts from a copy
-        return core
-
-    @cached_property
-    def dd(self) -> DecodeResult:
-        core_set = ItemSet.from_mask(self.core)
-        return DecodeResult(core_set, self.comp.definite_non_defectives, core_set)
-
-    @cached_property
-    def cover(self) -> tuple[np.ndarray, np.ndarray]:
-        """The unexplained positive tests and the candidate items."""
-        items, block = self._pd_block
-        # A test is explained once it holds a core item: read the core's columns only.
-        unexplained = self.positive & ~block[:, self.core[items]].any(axis=1)
-        # Only items that can still explain something are candidates; this
-        # excludes the DD core, whose tests are all explained.
-        return unexplained, self._on_items(block[unexplained].any(axis=0))
+    comp: DecodeResult
+    core: np.ndarray  # the DD core over all N items, read-only
+    dd: DecodeResult
+    block: np.ndarray  # the unexplained positive tests x the candidates, C-ordered
+    items: np.ndarray  # the candidates' item indices
 
 
-def _partition(matrix: DesignMatrix, outcomes: OutcomeVector) -> _Partition:
-    """The shared stage of ``(matrix, outcomes)``: kept on ``outcomes``
-    outside its dataclass fields and reused only for this very ``matrix``."""
-    part = outcomes.__dict__.get("_partition")
-    if part is None or part.matrix is not matrix:
-        part = _Partition(matrix, outcomes)
-        object.__setattr__(outcomes, "_partition", part)
-    return part
-
-
-def _staged_decode(
-    matrix: DesignMatrix, outcomes: OutcomeVector, last_stage: str, alpha: float = 0.0
-) -> DecodeResult:
-    """COMP, then DD, then the greedy cover; returns after ``last_stage``
-    ("comp", "dd" or "greedy"). The COMP/DD stage is the instance's shared
-    ``_partition``; only the greedy cover is run per call."""
-    part = _partition(matrix, outcomes)
-    if last_stage != "greedy":
-        return getattr(part, last_stage)
-    unexplained, candidates = part.cover
-    estimate = part.core.copy()
-    trace = _greedy_cover(matrix.dense, unexplained, candidates, alpha, estimate) if candidates.any() else []
-    # Without a greedy step the estimate is the DD core: reuse its ItemSet.
-    estimate_set = ItemSet.from_mask(estimate) if trace else part.dd.estimate
-    return DecodeResult(estimate_set, part.comp.definite_non_defectives, part.dd.dd_core, tuple(trace))
+def _stage(matrix: DesignMatrix, outcomes: OutcomeVector) -> _Stage:
+    """The shared stage of ``(matrix, outcomes)``, built on the pair's first
+    decode: kept on ``outcomes`` outside its dataclass fields and reused
+    only for this very ``matrix``."""
+    kept = outcomes.__dict__.get("_stage")
+    if kept is not None and kept[0] is matrix:
+        return kept[1]
+    _check_dims(matrix, outcomes)
+    positive = outcomes.to_mask()
+    # Items in no test stay potential.
+    dnd = matrix.dense[~positive].any(axis=0)
+    pd_items = np.flatnonzero(~dnd)
+    # The row of a negative test is all False here: no PD item sits in one.
+    pd_block = matrix.dense[:, pd_items]
+    # The DD core: each PD item that is the only PD member of a positive test.
+    core_cols = pd_block[np.count_nonzero(pd_block, axis=1) == 1].any(axis=0)
+    core = np.zeros(matrix.n_items, dtype=bool)
+    core[pd_items[core_cols]] = True
+    core.flags.writeable = False  # shared: a greedy decoder starts from a copy
+    # A test is explained once it holds a core item. Only items that can
+    # still explain something are candidates; this excludes the DD core,
+    # whose tests are all explained.
+    unexplained = positive & ~pd_block[:, core_cols].any(axis=1)
+    cand_cols = pd_block[unexplained].any(axis=0)
+    # Columns first, then rows: the block comes out C-ordered, which fixes
+    # the order in which the greedy stage sums it.
+    block = pd_block[:, cand_cols][unexplained]
+    dnd_set, core_set = ItemSet.from_mask(dnd), ItemSet.from_mask(core)
+    empty = ItemSet((), universe_size=matrix.n_items)
+    stage = _Stage(
+        DecodeResult(ItemSet.from_mask(~dnd), dnd_set, empty),
+        core,
+        DecodeResult(core_set, dnd_set, core_set),
+        block,
+        pd_items[cand_cols],
+    )
+    object.__setattr__(outcomes, "_stage", (matrix, stage))
+    return stage
 
 
 def comp(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
     """Return every item not ruled out by a negative test."""
-    return _staged_decode(matrix, outcomes, "comp")
+    return _stage(matrix, outcomes).comp
 
 
 def dd(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
     """Return only the items certified by a positive test they alone can explain."""
-    return _staged_decode(matrix, outcomes, "dd")
+    return _stage(matrix, outcomes).dd
 
 
 def scomp(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
-    """Greedy cover of the unexplained positive tests with unit increments."""
-    return _staged_decode(matrix, outcomes, "greedy", 0.0)
+    """Greedy cover of the unexplained positive tests with unit increments:
+    ``w_scomp`` at alpha=0."""
+    return w_scomp(matrix, outcomes, 0.0)
 
 
 def w_scomp(matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float = 1.0) -> DecodeResult:
@@ -266,7 +238,13 @@ def w_scomp(matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float = 1.0) -
     ValueError if the increments underflow to 0 (very large ``alpha``)
     before every explainable positive test is explained.
     """
-    return _staged_decode(matrix, outcomes, "greedy", check_alpha(alpha))
+    alpha = check_alpha(alpha)
+    stage = _stage(matrix, outcomes)
+    estimate = stage.core.copy()
+    trace = _greedy_cover(stage.block, stage.items, alpha, estimate) if len(stage.items) else []
+    # Without a greedy step the estimate is the DD core: reuse its ItemSet.
+    estimate_set = ItemSet.from_mask(estimate) if trace else stage.dd.estimate
+    return DecodeResult(estimate_set, stage.comp.definite_non_defectives, stage.dd.dd_core, tuple(trace))
 
 
 def score_items(

@@ -54,15 +54,6 @@ class ItemSet:
     def __len__(self):
         return len(self.members)
 
-    def __contains__(self, item):
-        # Hash lookup, as for a set of the members; the set is built on the
-        # first query and kept outside the dataclass fields.
-        member_set = self.__dict__.get("_member_set")
-        if member_set is None:
-            member_set = frozenset(self.members)
-            object.__setattr__(self, "_member_set", member_set)
-        return item in member_set
-
     def __iter__(self):
         return iter(self.members)
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -38,9 +40,12 @@ class TestItemSet:
     )
     def test_contains(self, item, expected):
         s = ItemSet(tuple(range(0, 4900, 2)), universe_size=5000)
+        before = (pickle.dumps(s), copy.copy(s).__dict__)
         assert (item in s) is expected
-        assert (item in s) is expected  # answered again from the kept set
+        assert (item in s) is expected  # the same answer when asked again
         assert s == ItemSet(tuple(range(0, 4900, 2)), universe_size=5000)
+        # A query leaves no state on the instance: pickles and copies are as before.
+        assert (pickle.dumps(s), copy.copy(s).__dict__) == before
 
     @pytest.mark.parametrize(
         "members, universe_size",
