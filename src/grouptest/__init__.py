@@ -13,6 +13,7 @@ from .decoders import (
     comp,
     dd,
     decode,
+    decode_all,
     scomp,
     score_items,
     w_scomp,

@@ -18,14 +18,11 @@ Each decoder reads its result from the same pass (COMP masks, then the DD
 core, then the greedy cover). The greedy stage and ``score_items`` share one
 scoring kernel.
 
-The COMP/DD stage (the COMP and DD results, the DD core and the greedy
-block) is built whole on the first decode of an instance, so the decoders
-of one trial compute it once and each greedy decoder runs only its own
-cover. It is kept on the ``OutcomeVector`` outside its dataclass fields
-(equality, hash, repr, pickles and JSON do not see it) and reused only for
-the very ``DesignMatrix`` it was computed from: both are immutable, so a
-reused stage is exact, and nothing global is kept, nor any matrix beyond
-the life of its outcomes.
+``decode_all(matrix, outcomes, names, alpha)`` builds the COMP/DD stage (the
+COMP and DD results, the DD core and the greedy block) once per call, and
+every decoder it is asked for reads that one stage: a trial that decodes
+through one call computes the stage once, and each greedy decoder runs only
+its own cover. Nothing is kept between calls.
 
 COMP reads the negative rows through one copy (T_neg x N, about a third of
 the matrix at N=5000, T=400), freed once COMP is done: the copy-free
@@ -46,8 +43,10 @@ unexplained and drops those the chosen item explains; traces and sweep CSV
 bytes are those of a full rescan per step. With no candidate left after DD,
 the greedy stage does not run.
 
-``decode(name, matrix, outcomes, alpha)`` runs any entry of ``DECODERS`` by
-name; it is the one place that knows only W-SCOMP takes ``alpha``.
+``DECODERS`` maps each name to its tail on the stage, ``(stage, alpha) ->
+DecodeResult``: COMP and DD return their part, SCOMP covers at alpha = 0
+and W-SCOMP at ``alpha``. ``decode`` and ``comp``, ``dd``, ``scomp``,
+``w_scomp`` are ``decode_all`` with one name.
 
 Ties at the argmax are broken toward the lowest item index. Scores are
 accumulated over tests in ascending test index with a fixed reduction
@@ -177,12 +176,7 @@ class _Stage(NamedTuple):
 
 
 def _stage(matrix: DesignMatrix, outcomes: OutcomeVector) -> _Stage:
-    """The shared stage of ``(matrix, outcomes)``, built on the pair's first
-    decode: kept on ``outcomes`` outside its dataclass fields and reused
-    only for this very ``matrix``."""
-    kept = outcomes.__dict__.get("_stage")
-    if kept is not None and kept[0] is matrix:
-        return kept[1]
+    """The COMP/DD stage of ``(matrix, outcomes)``, shared within one ``decode_all`` call."""
     _check_dims(matrix, outcomes)
     positive = outcomes.to_mask()
     # Items in no test stay potential.
@@ -194,7 +188,7 @@ def _stage(matrix: DesignMatrix, outcomes: OutcomeVector) -> _Stage:
     core_cols = pd_block[np.count_nonzero(pd_block, axis=1) == 1].any(axis=0)
     core = np.zeros(matrix.n_items, dtype=bool)
     core[pd_items[core_cols]] = True
-    core.flags.writeable = False  # shared: a greedy decoder starts from a copy
+    core.flags.writeable = False  # shared: a greedy cover starts from a copy
     # A test is explained once it holds a core item. Only items that can
     # still explain something are candidates; this excludes the DD core,
     # whose tests are all explained.
@@ -205,31 +199,70 @@ def _stage(matrix: DesignMatrix, outcomes: OutcomeVector) -> _Stage:
     block = pd_block[:, cand_cols][unexplained]
     dnd_set, core_set = ItemSet.from_mask(dnd), ItemSet.from_mask(core)
     empty = ItemSet((), universe_size=matrix.n_items)
-    stage = _Stage(
+    return _Stage(
         DecodeResult(ItemSet.from_mask(~dnd), dnd_set, empty),
         core,
         DecodeResult(core_set, dnd_set, core_set),
         block,
         pd_items[cand_cols],
     )
-    object.__setattr__(outcomes, "_stage", (matrix, stage))
-    return stage
+
+
+def _cover(stage: _Stage, alpha: float) -> DecodeResult:
+    """The greedy cover of ``stage`` with increments 1/w_t**alpha, from the DD core."""
+    estimate = stage.core.copy()
+    trace = _greedy_cover(stage.block, stage.items, alpha, estimate) if len(stage.items) else []
+    # Without a greedy step the estimate is the DD core: reuse its ItemSet.
+    estimate_set = ItemSet.from_mask(estimate) if trace else stage.dd.estimate
+    return DecodeResult(estimate_set, stage.comp.definite_non_defectives, stage.dd.dd_core, tuple(trace))
+
+
+# Each decoder's tail on the shared stage: (stage, alpha) -> DecodeResult.
+DECODERS = {
+    "comp": lambda stage, alpha: stage.comp,
+    "dd": lambda stage, alpha: stage.dd,
+    "scomp": lambda stage, alpha: _cover(stage, 0.0),
+    "wscomp": _cover,
+}
+
+
+def decode_all(matrix: DesignMatrix, outcomes: OutcomeVector, names, alpha: float = 1.0) -> dict[str, DecodeResult]:
+    """Run the decoders ``names`` on one instance, which share its COMP/DD stage.
+
+    The names and ``alpha`` are checked first, whichever decoders are asked
+    for. Only ``wscomp`` uses ``alpha``; it raises ValueError if its
+    increments underflow to 0 before every explainable test is explained.
+    """
+    if isinstance(names, str):
+        raise ValueError(f"names must be a sequence of decoder names, not the string {names!r}")
+    names = tuple(names)
+    for name in names:
+        if not isinstance(name, str) or name not in DECODERS:
+            raise ValueError(f"unknown decoder {name!r}; choose from {sorted(DECODERS)}")
+    alpha = check_alpha(alpha)
+    stage = _stage(matrix, outcomes)
+    return {name: DECODERS[name](stage, alpha) for name in names}
+
+
+def decode(name: str, matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float = 1.0) -> DecodeResult:
+    """Run the one decoder ``name``: ``decode_all`` with that name."""
+    return decode_all(matrix, outcomes, (name,), alpha)[name]
 
 
 def comp(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
     """Return every item not ruled out by a negative test."""
-    return _stage(matrix, outcomes).comp
+    return decode("comp", matrix, outcomes)
 
 
 def dd(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
     """Return only the items certified by a positive test they alone can explain."""
-    return _stage(matrix, outcomes).dd
+    return decode("dd", matrix, outcomes)
 
 
 def scomp(matrix: DesignMatrix, outcomes: OutcomeVector) -> DecodeResult:
     """Greedy cover of the unexplained positive tests with unit increments:
     ``w_scomp`` at alpha=0."""
-    return w_scomp(matrix, outcomes, 0.0)
+    return decode("scomp", matrix, outcomes)
 
 
 def w_scomp(matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float = 1.0) -> DecodeResult:
@@ -238,13 +271,7 @@ def w_scomp(matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float = 1.0) -
     ValueError if the increments underflow to 0 (very large ``alpha``)
     before every explainable positive test is explained.
     """
-    alpha = check_alpha(alpha)
-    stage = _stage(matrix, outcomes)
-    estimate = stage.core.copy()
-    trace = _greedy_cover(stage.block, stage.items, alpha, estimate) if len(stage.items) else []
-    # Without a greedy step the estimate is the DD core: reuse its ItemSet.
-    estimate_set = ItemSet.from_mask(estimate) if trace else stage.dd.estimate
-    return DecodeResult(estimate_set, stage.comp.definite_non_defectives, stage.dd.dd_core, tuple(trace))
+    return decode("wscomp", matrix, outcomes, alpha)
 
 
 def score_items(
@@ -281,24 +308,3 @@ def score_items(
         alpha=alpha,
     )
 
-
-DECODERS = {
-    "comp": comp,
-    "dd": dd,
-    "scomp": scomp,
-    "wscomp": w_scomp,
-}
-
-
-def decode(name: str, matrix: DesignMatrix, outcomes: OutcomeVector, alpha: float = 1.0) -> DecodeResult:
-    """Run the decoder ``DECODERS[name]``; only ``wscomp`` uses ``alpha``.
-
-    ``alpha`` is checked for every decoder, so a bad value is rejected
-    whichever decoder is asked for.
-    """
-    if name not in DECODERS:
-        raise ValueError(f"unknown decoder {name!r}; choose from {sorted(DECODERS)}")
-    check_alpha(alpha)
-    if name == "wscomp":
-        return DECODERS[name](matrix, outcomes, alpha)
-    return DECODERS[name](matrix, outcomes)

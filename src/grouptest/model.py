@@ -81,11 +81,6 @@ class OutcomeVector:
         object.__setattr__(self, "bits", tuple(mask.tolist()))
         return self
 
-    def __getstate__(self):
-        # Pickles and copies carry the bits alone, not the COMP/DD stage that
-        # ``decoders`` keeps on the instance outside the fields.
-        return {"bits": self.bits}
-
     @property
     def n_tests(self) -> int:
         return len(self.bits)

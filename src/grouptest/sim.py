@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import design as design_mod
-from .decoders import DECODERS, check_alpha, decode
+from .decoders import DECODERS, check_alpha, decode_all
 from .metrics import RecoveryStats, confusion, counting_bound
 from .model import sample_defective_set, run_tests
 
@@ -175,11 +175,8 @@ def run_trial(
     state = np.random.SeedSequence(trial_seed).generate_state(2, np.uint64)
     matrix = design_mod.generate(replace(design_spec, seed=int(state[0])))
     truth = sample_defective_set(design_spec.n_items, n_defectives, int(state[1]))
-    outcomes = run_tests(matrix, truth)
-    return {
-        name: confusion(truth, decode(name, matrix, outcomes, alpha).estimate)
-        for name in algorithms
-    }
+    results = decode_all(matrix, run_tests(matrix, truth), algorithms, alpha)
+    return {name: confusion(truth, result.estimate) for name, result in results.items()}
 
 
 def run_sweep(config: SimConfig) -> SweepResult:

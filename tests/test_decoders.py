@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouptest.decoders import DECODERS, comp, dd, decode, scomp, score_items, w_scomp
+from grouptest.decoders import DECODERS, comp, dd, decode, decode_all, scomp, score_items, w_scomp
 from grouptest.design import DESIGN_KINDS, DesignMatrix, generate
 from grouptest.model import ItemSet, OutcomeVector, run_tests, sample_defective_set
 from grouptest.sim import design_spec_for
@@ -186,6 +186,26 @@ class TestWScomp:
         assert w_scomp(m, y) == w_scomp(m, y, alpha=1.0)
 
 
+class TestDecodeAllInputs:
+    def test_bare_string_names_rejected(self, worked_instance):
+        m, _, y = worked_instance
+        with pytest.raises(ValueError, match="names"):
+            decode_all(m, y, "comp")
+
+    @pytest.mark.parametrize("names", [("comp", "scomp_"), ["dd", "COMP"], ("wscomp", 1), [None]])
+    def test_unknown_name_rejected(self, worked_instance, names):
+        m, _, y = worked_instance
+        with pytest.raises(ValueError, match="unknown decoder"):
+            decode_all(m, y, names)
+
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan"), float("inf"), True, "1"])
+    def test_bad_alpha_rejected_without_wscomp(self, worked_instance, alpha):
+        m, _, y = worked_instance
+        for names in (("comp", "dd", "scomp"), ()):
+            with pytest.raises(ValueError, match="alpha"):
+                decode_all(m, y, names, alpha)
+
+
 def random_instance(rng):
     n = int(rng.integers(2, 14))
     t = int(rng.integers(1, 12))
@@ -305,6 +325,15 @@ class TestSharedPartition:
             decode(name, matrix, y)
         assert y == OutcomeVector(y.bits) == replace(y) == copy.copy(y)
         assert (hash(y), repr(y), y.to_json_dict(), replace(y), pickle.dumps(y)) == before
+        assert vars(y) == {"bits": y.bits}
+
+    def test_decode_all_in_every_order_matches_fresh_decodes(self, instances):
+        for matrix, y in instances:
+            fresh = {name: fresh_decode(name, matrix, y, 0.5) for name in DECODERS}
+            for order in itertools.permutations(DECODERS):
+                results = decode_all(matrix, y, order, 0.5)
+                assert tuple(results) == order
+                assert results == fresh, order
 
     def test_underflowing_alpha_raises_after_the_stage_is_kept(self):
         m = DesignMatrix([[0], [1, 2], [1, 3]], n_items=4)

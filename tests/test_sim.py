@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from grouptest import decoders
 from grouptest.decoders import DECODERS
 from grouptest.model import ItemSet
 from grouptest.sim import (
@@ -138,6 +139,21 @@ class TestRunTrial:
             assert stats[name].false_negatives == 5
         assert len(steps) == 10
         assert (sum(steps) > 0) == (name == "wscomp")
+
+    def test_one_stage_per_trial(self, monkeypatch):
+        # The four decoders of a trial share one COMP/DD stage.
+        stage, calls = decoders._stage, []
+
+        def counted(*args):
+            calls.append(args)
+            return stage(*args)
+
+        monkeypatch.setattr(decoders, "_stage", counted)
+        assert sorted(ALGORITHMS) == sorted(DECODERS)
+        spec = design_spec_for("bernoulli", 50, 5, 20)
+        for trial in range(5):
+            run_trial(spec, 5, ALGORITHMS, 1.0, trial_seed=(3, 20, trial))
+            assert len(calls) == trial + 1
 
 
 class TestRunSweep:
