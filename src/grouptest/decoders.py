@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import DesignMatrix, require_int
+from .design import DesignMatrix, require_int, require_match
 from .model import ItemSet, OutcomeVector
 
 
@@ -96,14 +96,6 @@ class ScoreVector:
     scores: dict[int, float]
     weights: dict[int, int]
     alpha: float
-
-
-def _check_dims(matrix: DesignMatrix, outcomes: OutcomeVector):
-    if outcomes.n_tests != matrix.n_tests:
-        raise ValueError(
-            f"outcome length {outcomes.n_tests} does not match "
-            f"matrix n_tests {matrix.n_tests}"
-        )
 
 
 def check_alpha(alpha) -> float:
@@ -177,7 +169,7 @@ class _Stage(NamedTuple):
 
 def _stage(matrix: DesignMatrix, outcomes: OutcomeVector) -> _Stage:
     """The COMP/DD stage of ``(matrix, outcomes)``, shared within one ``decode_all`` call."""
-    _check_dims(matrix, outcomes)
+    require_match(outcomes.n_tests, "outcome length", matrix.n_tests, "matrix n_tests")
     positive = outcomes.to_mask()
     # Items in no test stay potential.
     dnd = matrix.dense[~positive].any(axis=0)
@@ -226,20 +218,27 @@ DECODERS = {
 }
 
 
+def check_names(names, what: str) -> tuple[str, ...]:
+    """``names`` as a tuple of ``DECODERS`` keys; ValueError naming ``what`` for an
+    unknown name, or unless it is a nonempty list or tuple of distinct names."""
+    if isinstance(names, (list, tuple)):
+        for name in names:
+            if not isinstance(name, str) or name not in DECODERS:
+                raise ValueError(f"unknown decoder {name!r} in {what}; choose from {sorted(DECODERS)}")
+        if names and len(set(names)) == len(names):
+            return tuple(names)
+    raise ValueError(f"{what} must be a nonempty list of distinct decoder names, got {names!r}")
+
+
 def decode_all(matrix: DesignMatrix, outcomes: OutcomeVector, names, alpha: float = 1.0) -> dict[str, DecodeResult]:
     """Run the decoders ``names`` on one instance, which share its COMP/DD stage.
 
-    The names and ``alpha`` are checked first, whichever decoders are asked
-    for. Only ``wscomp`` uses ``alpha``; it raises ValueError if its
-    increments underflow to 0 before every explainable test is explained.
+    ``alpha``, then the names (``check_names``) are checked first, whichever
+    decoders are asked for. Only ``wscomp`` uses ``alpha``; it raises ValueError
+    if its increments underflow to 0 before every explainable test is explained.
     """
-    if isinstance(names, str):
-        raise ValueError(f"names must be a sequence of decoder names, not the string {names!r}")
-    names = tuple(names)
-    for name in names:
-        if not isinstance(name, str) or name not in DECODERS:
-            raise ValueError(f"unknown decoder {name!r}; choose from {sorted(DECODERS)}")
     alpha = check_alpha(alpha)
+    names = check_names(names, "names")
     stage = _stage(matrix, outcomes)
     return {name: DECODERS[name](stage, alpha) for name in names}
 
@@ -288,7 +287,7 @@ def score_items(
     Tests with w_t = 0 contribute nothing. This is the score the greedy
     stage of ``w_scomp`` maximizes at each step.
     """
-    _check_dims(matrix, outcomes)
+    require_match(outcomes.n_tests, "outcome length", matrix.n_tests, "matrix n_tests")
     alpha = check_alpha(alpha)
     positive = outcomes.to_mask()
     unexplained = sorted({require_int(t, "test index") for t in unexplained})
@@ -297,9 +296,8 @@ def score_items(
             raise ValueError(f"test index {t} outside [0, {matrix.n_tests})")
         if not positive[t]:
             raise ValueError(f"unexplained test {t} is not positive")
+    require_match(candidates.universe_size, "candidate universe size", matrix.n_items, "matrix n_items")
     cand_mask = candidates.to_mask()
-    if len(cand_mask) != matrix.n_items:
-        raise ValueError("candidate universe does not match matrix n_items")
     weights, increments = _score(matrix.dense[unexplained], cand_mask, alpha)
     totals = np.add.reduce(increments, axis=0)
     return ScoreVector(

@@ -44,8 +44,7 @@ class DesignSpec:
 
     Exactly the parameter relevant to ``design_kind`` must be set:
     ``inclusion_prob`` for bernoulli, ``column_weight`` for the column
-    designs. ``seed`` is a SeedSequence entropy: an int >= 0 or a tuple of
-    them (ValueError otherwise).
+    designs. ``seed`` is a SeedSequence entropy, checked by ``require_seed``.
     """
 
     design_kind: str
@@ -73,9 +72,7 @@ class DesignSpec:
                 raise ValueError(
                     f"column_weight {self.column_weight} exceeds n_tests {self.n_tests}"
                 )
-        is_tuple = isinstance(self.seed, tuple)
-        seeds = tuple(require_int(s, "seed", 0) for s in (self.seed if is_tuple else (self.seed,)))
-        object.__setattr__(self, "seed", seeds if is_tuple else seeds[0])
+        object.__setattr__(self, "seed", require_seed(self.seed, "seed"))
 
 
 class DesignMatrix:
@@ -298,6 +295,32 @@ def require_int(value, what: str, minimum: int | None = None) -> int:
     if minimum is not None and number < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {number}")
     return number
+
+
+def require_seed(seed, what: str) -> int | tuple[int, ...]:
+    """``seed`` as a SeedSequence entropy, an int >= 0 or a tuple of them (each
+    through ``require_int``); ValueError naming ``what`` otherwise, so None (OS entropy) too."""
+    if isinstance(seed, tuple):
+        return tuple(require_int(s, what, 0) for s in seed)
+    return require_int(seed, what, 0)
+
+
+def require_defectives(n_items, n_defectives, interior: bool = False) -> tuple[int, int]:
+    """``(n_items, n_defectives)`` as Python ints, which cannot overflow; ValueError
+    unless 0 <= k <= N, or 1 <= k < N when ``interior`` (closed forms, moment oracles)."""
+    n_items = require_int(n_items, "n_items")
+    n_defectives = require_int(n_defectives, "n_defectives")
+    if not (1 <= n_defectives < n_items if interior else 0 <= n_defectives <= n_items):
+        relation = "1 <= k < N" if interior else "0 <= k <= N"
+        raise ValueError(f"need {relation}, got k={n_defectives}, N={n_items}")
+    return n_items, n_defectives
+
+
+def require_match(value, what: str, expected, against: str) -> None:
+    """ValueError unless ``value`` (``what``) equals ``expected`` (``against``),
+    as for two sizes that must agree."""
+    if value != expected:
+        raise ValueError(f"{what} {value} does not match {against} {expected}")
 
 
 def require_prob(value, what: str, interior: bool = False):

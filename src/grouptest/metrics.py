@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .design import require_int
+from .design import require_defectives, require_int, require_match
 from .model import ItemSet
 
 
@@ -24,10 +24,7 @@ def confusion(truth: ItemSet, estimate: ItemSet) -> RecoveryStats:
 
     Two empty sets count as perfect agreement for both Jaccard and F1.
     """
-    if truth.universe_size != estimate.universe_size:
-        raise ValueError(
-            f"universe mismatch: {truth.universe_size} vs {estimate.universe_size}"
-        )
+    require_match(estimate.universe_size, "estimate universe size", truth.universe_size, "truth universe size")
     n_truth, n_estimate = len(truth.members), len(estimate.members)
     inter = len(set(truth.members).intersection(estimate.members))
     fn = n_truth - inter
@@ -61,11 +58,8 @@ def f1_score(truth: ItemSet, estimate: ItemSet) -> float:
 
 def counting_bound(n_items: int, n_defectives: int, n_tests: int) -> float:
     """Exact ceiling on exact-recovery probability: min(1, 2**T / C(N, k)), correctly rounded."""
-    n_items = require_int(n_items, "n_items")
-    n_defectives = require_int(n_defectives, "n_defectives")
+    n_items, n_defectives = require_defectives(n_items, n_defectives)
     n_tests = require_int(n_tests, "n_tests", 0)
-    if not 0 <= n_defectives <= n_items:
-        raise ValueError(f"need 0 <= k <= N, got k={n_defectives}, N={n_items}")
     choose = math.comb(n_items, n_defectives)
     if n_tests >= choose.bit_length():
         return 1.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, require_int, require_keys
+from .design import DesignMatrix, require_defectives, require_int, require_keys, require_match, require_seed
 
 
 @dataclass(frozen=True)
@@ -101,24 +101,15 @@ class OutcomeVector:
 
 
 def sample_defective_set(n_items: int, n_defectives: int, seed) -> ItemSet:
-    """Uniform draw over all size-k subsets of [0, N); deterministic per seed."""
-    n_items = require_int(n_items, "n_items")
-    n_defectives = require_int(n_defectives, "n_defectives")
-    if not 0 <= n_defectives <= n_items:
-        raise ValueError(
-            f"need 0 <= k <= N, got k={n_defectives}, N={n_items}"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    """Uniform draw over all size-k subsets of [0, N); deterministic per seed (``require_seed``)."""
+    n_items, n_defectives = require_defectives(n_items, n_defectives)
+    rng = np.random.default_rng(np.random.SeedSequence(require_seed(seed, "seed")))
     members = rng.choice(n_items, size=n_defectives, replace=False)
     return ItemSet(tuple(int(i) for i in members), universe_size=n_items)
 
 
 def run_tests(matrix: DesignMatrix, defectives: ItemSet) -> OutcomeVector:
     """Noiseless outcomes: test t is positive iff pool t meets the defective set."""
-    if defectives.universe_size != matrix.n_items:
-        raise ValueError(
-            f"universe size {defectives.universe_size} does not match "
-            f"matrix n_items {matrix.n_items}"
-        )
+    require_match(defectives.universe_size, "universe size", matrix.n_items, "matrix n_items")
     # Only the k defective columns are read: a T x k copy, not a T x N one.
     return OutcomeVector.from_mask(matrix.dense[:, list(defectives.members)].any(axis=1))

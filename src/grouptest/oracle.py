@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .decoders import comp, dd, w_scomp
-from .design import DesignMatrix, DesignSpec, generate, require_int, require_prob
+from .decoders import decode_all
+from .design import DesignMatrix, DesignSpec, generate, require_defectives, require_int, require_match, require_prob
 from .model import ItemSet, OutcomeVector, run_tests, sample_defective_set
 
 _MAX_ENUM_ITEMS = 16
@@ -56,23 +56,16 @@ def _peer_patterns(n_items: int, n_defective_peers: int, p: float):
     return probs, sizes, defectives_in
 
 
-def _check_enum_domain(n_items: int, n_defectives: int, p: float) -> tuple[int, int, float]:
-    n_items = require_int(n_items, "n_items")
-    n_defectives = require_int(n_defectives, "n_defectives")
-    if n_items > _MAX_ENUM_ITEMS:
-        raise ValueError(f"enumeration budget is N <= {_MAX_ENUM_ITEMS}, got {n_items}")
-    if not 1 <= n_defectives < n_items:
-        raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
-    return n_items, n_defectives, require_prob(p, "p")
-
-
 def _enumerated_moments(n_items: int, n_defectives: int, p: float, alpha: float) -> EnumeratedMoments:
     """Exact moments of the score (1 + size)**-alpha over all peer patterns.
 
     ``size`` counts the peers pooled with the focal item, so alpha = 1 is
     the inverse-weight rule and alpha = 0 the indicator rule.
     """
-    n_items, n_defectives, p = _check_enum_domain(n_items, n_defectives, p)
+    n_items, n_defectives = require_defectives(n_items, n_defectives, interior=True)
+    if n_items > _MAX_ENUM_ITEMS:
+        raise ValueError(f"enumeration budget is N <= {_MAX_ENUM_ITEMS}, got {n_items}")
+    p = require_prob(p, "p")
 
     # One enumeration serves both focal items: only ``defectives_in``
     # depends on the number of defective peers.
@@ -119,16 +112,12 @@ def consistent_sets(matrix: DesignMatrix, outcomes: OutcomeVector, n_defectives:
     Returned in lexicographic order of the member tuples. Only the items in
     no negative test are enumerated, and a set must meet every positive pool.
     """
-    n = matrix.n_items
-    n_defectives = require_int(n_defectives, "n_defectives")
-    if not 0 <= n_defectives <= n:
-        raise ValueError(f"need 0 <= k <= N, got k={n_defectives}, N={n}")
+    n, n_defectives = require_defectives(matrix.n_items, n_defectives)
     if math.comb(n, n_defectives) > _MAX_SUBSETS:
         raise ValueError(
             f"C({n}, {n_defectives}) exceeds the enumeration budget of {_MAX_SUBSETS}"
         )
-    if outcomes.n_tests != matrix.n_tests:
-        raise ValueError("outcome length does not match matrix n_tests")
+    require_match(outcomes.n_tests, "outcome length", matrix.n_tests, "matrix n_tests")
 
     positive = outcomes.to_mask()
     pos_pools = [set(np.flatnonzero(pool).tolist()) for pool in matrix.dense[positive]]
@@ -184,10 +173,10 @@ def verify(n_max: int, trials: int) -> tuple[float, float, int]:
         outcomes = run_tests(matrix, truth)
         feasible = consistent_sets(matrix, outcomes, k)
         masks = [s.to_mask() for s in feasible]
-        pd = comp(matrix, outcomes).estimate.to_mask()
-        core = dd(matrix, outcomes).estimate.to_mask()
+        decoded = decode_all(matrix, outcomes, ("comp", "dd", "wscomp"))
+        pd, core = decoded["comp"].estimate.to_mask(), decoded["dd"].estimate.to_mask()
         violations += truth not in feasible
         violations += any((m & ~pd).any() for m in masks)
         violations += any((core & ~m).any() for m in masks)
-        violations += run_tests(matrix, w_scomp(matrix, outcomes).estimate) != outcomes
+        violations += run_tests(matrix, decoded["wscomp"].estimate) != outcomes
     return worst_w, worst_u, violations

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import design as design_mod
-from .decoders import DECODERS, check_alpha, decode_all
+from .decoders import DECODERS, check_alpha, check_names, decode_all
 from .metrics import RecoveryStats, confusion, counting_bound
 from .model import sample_defective_set, run_tests
 
@@ -39,24 +39,20 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        floors = {"n_items": None, "n_defectives": None, "n_trials": 1, "master_seed": 0}
-        for name, minimum in floors.items():
+        n_items, n_defectives = design_mod.require_defectives(self.n_items, self.n_defectives)
+        object.__setattr__(self, "n_items", n_items)
+        object.__setattr__(self, "n_defectives", n_defectives)
+        for name, minimum in (("n_trials", 1), ("master_seed", 0)):
             object.__setattr__(self, name, design_mod.require_int(getattr(self, name), name, minimum))
-        for name in ("t_values", "algorithms"):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
+        if not isinstance(self.t_values, (list, tuple)):
+            raise ValueError(f"t_values must be a list, got {self.t_values!r}")
         t_values = tuple(design_mod.require_int(t, "each t_values entry", 1) for t in self.t_values)
+        if not t_values or len(set(t_values)) < len(t_values):
+            raise ValueError(f"t_values must be a nonempty list of distinct T values, got {list(t_values)}")
         object.__setattr__(self, "t_values", t_values)
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if not self.t_values:
-            raise ValueError("t_values must be nonempty")
-        if not 0 <= self.n_defectives <= self.n_items:
-            raise ValueError("need 0 <= k <= N")
         if self.design_kind not in design_mod.DESIGN_KINDS:
             raise ValueError(f"unknown design_kind {self.design_kind!r}")
-        unknown = [a for a in self.algorithms if not isinstance(a, str) or a not in DECODERS]
-        if unknown:
-            raise ValueError(f"unknown algorithms: {unknown}")
+        object.__setattr__(self, "algorithms", check_names(self.algorithms, "algorithms"))
         # The float, so that equal configs write equal CSV bytes (1 and 1.0 alike).
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
         # Every T's design is checked here, before any trial of an earlier T runs.
@@ -169,10 +165,11 @@ def run_trial(
     trial_seed,
 ) -> dict[str, RecoveryStats]:
     """One independent trial on ``design_spec.n_items`` items: fresh matrix,
-    fresh defective set, all decoders. ``trial_seed`` may be an int or a tuple
-    of ints; the matrix and the defective set get independent sub-seeds from it.
+    fresh defective set, all decoders. ``trial_seed`` (``require_seed``) gives
+    the matrix and the defective set independent sub-seeds.
     """
-    state = np.random.SeedSequence(trial_seed).generate_state(2, np.uint64)
+    seed = design_mod.require_seed(trial_seed, "trial_seed")
+    state = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     matrix = design_mod.generate(replace(design_spec, seed=int(state[0])))
     truth = sample_defective_set(design_spec.n_items, n_defectives, int(state[1]))
     results = decode_all(matrix, run_tests(matrix, truth), algorithms, alpha)

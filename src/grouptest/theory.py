@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import require_int, require_prob
+from .design import require_defectives, require_int, require_prob
 
 _SNR_TOL = 1e-12
 _CROSS_PATH_RTOL = 1e-9
@@ -128,17 +128,8 @@ def _nd_base_moments(n_items: int, n_defectives: int, p: float) -> tuple[float, 
     return mean, mean_sq
 
 
-def _check_k_below_n(n_items: int, n_defectives: int) -> tuple[int, int]:
-    # (N, k) as Python ints, so numpy integers cannot overflow downstream.
-    n_items = require_int(n_items, "n_items")
-    n_defectives = require_int(n_defectives, "n_defectives")
-    if not 1 <= n_defectives < n_items:
-        raise ValueError(f"need 1 <= k < N, got k={n_defectives}, N={n_items}")
-    return n_items, n_defectives
-
-
 def _check_domain(n_items: int, n_defectives: int, p: float) -> tuple[int, int, float]:
-    return (*_check_k_below_n(n_items, n_defectives), require_prob(p, "p", interior=True))
+    return (*require_defectives(n_items, n_defectives, interior=True), require_prob(p, "p", interior=True))
 
 
 def _moment_set(rule, p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd) -> MomentSet:
@@ -212,7 +203,7 @@ def numerator_identity(n_items: int, n_defectives: int, p: float) -> float:
 
 def mu_nd_closed_form(n_items: int, n_defectives: int) -> float:
     """Mean reciprocal pool weight of a non-defective item at p = 1/(k+1)."""
-    n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
+    n_items, n_defectives = require_defectives(n_items, n_defectives, interior=True)
     k = n_defectives
     n = n_items
     c = k / (k + 1.0)
@@ -296,7 +287,7 @@ def _log_space_sum(n: int, k: int, log_c_prefactor: float) -> float:
 
 def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
     """Evaluate the positivity function f(N, k) by both computation routes."""
-    n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
+    n_items, n_defectives = require_defectives(n_items, n_defectives, interior=True)
     n, k = n_items, n_defectives
     p = 1.0 / (k + 1)
     q = _coverage(k, p)
@@ -358,7 +349,7 @@ def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
 
 def snr_dominance(n_items: int, n_defectives: int) -> bool:
     """True when the weighted per-test SNR is at least the unweighted one."""
-    n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
+    n_items, n_defectives = require_defectives(n_items, n_defectives, interior=True)
     p = 1.0 / (n_defectives + 1)
     snr_w = _weighted_moments(n_items, n_defectives, p).snr_per
     snr_u = _unweighted_moments(n_defectives, p).snr_per
@@ -398,7 +389,7 @@ def jensen_bounds(n_items: int, n_defectives: int) -> tuple[float, float]:
     count k p / q + (N-k-1) p in the denominator, the bound reduces to
     ((k+1) q / (N q + k))^2.
     """
-    n_items, n_defectives = _check_k_below_n(n_items, n_defectives)
+    n_items, n_defectives = require_defectives(n_items, n_defectives, interior=True)
     n, k = n_items, n_defectives
     q = _coverage(k, 1.0 / (k + 1))
     lower_d = ((k + 1.0) / (n + k)) ** 2

@@ -333,6 +333,17 @@ class TestSimulate:
         assert "n_tests=5 too small for k=10" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value", [("algorithms", []), ("algorithms", ["comp", "comp"]), ("t_values", [8, 8])]
+    )
+    def test_empty_or_repeated_entries_exit_one_before_any_trial(self, tmp_path, capsys, field, value):
+        cfg = self.config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), field: value}))
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--config", str(cfg), "-o", str(out)) == 1
+        assert f"{field} must be a nonempty list of distinct" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_required_somewhere(self, tmp_path):
         cfg = self.config(tmp_path, with_seed=False)
         assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1

@@ -276,7 +276,7 @@ def fresh_decode(name, matrix, outcomes, alpha=1.0):
     return decode(name, twin, OutcomeVector(outcomes.bits), alpha)
 
 
-class TestSharedPartition:
+class TestStageSharedWithinDecodeAll:
     """The decoders of one instance share its COMP/DD stage; no call order,
     alpha or other matrix may change what any of them returns."""
 
@@ -335,7 +335,7 @@ class TestSharedPartition:
                 assert tuple(results) == order
                 assert results == fresh, order
 
-    def test_underflowing_alpha_raises_after_the_stage_is_kept(self):
+    def test_underflowing_alpha_raises_without_changing_other_decodes(self):
         m = DesignMatrix([[0], [1, 2], [1, 3]], n_items=4)
         y = OutcomeVector((1, 1, 1))
         assert dd(m, y).estimate.members == (0,)

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from grouptest import DECODERS, DesignSpec, OutcomeVector, dd, decode, generate, run_tests, sample_defective_set
+from grouptest import DECODERS, DesignSpec, dd, decode, generate, run_tests, sample_defective_set
 
 N_ITEMS, N_TESTS, N_DEFECTIVES = 5000, 400, 50
 SPEC = DesignSpec("bernoulli", N_ITEMS, N_TESTS, inclusion_prob=1 / (N_DEFECTIVES + 1), seed=7)
@@ -53,10 +53,8 @@ def test_run_tests_reads_only_the_defective_columns(instance):
 
 @pytest.mark.parametrize("name", DECODERS)
 def test_dd_works_on_the_potential_defective_columns(instance, name):
-    # Every decoder builds the whole COMP/DD stage on fresh outcomes, which
-    # stays below the matrix; SCOMP and W-SCOMP add their float64 increments
-    # over the greedy block.
+    # Every decoder builds the whole COMP/DD stage, which stays below the
+    # matrix; SCOMP and W-SCOMP add their float64 increments over the greedy block.
     matrices = 2 if name in ("scomp", "wscomp") else 1
     matrix, _, outcomes = instance
-    fresh = OutcomeVector(outcomes.bits)  # carries no stage from an earlier decode
-    assert _peak(lambda: decode(name, matrix, fresh)) < matrices * matrix.dense.nbytes
+    assert _peak(lambda: decode(name, matrix, outcomes)) < matrices * matrix.dense.nbytes

@@ -82,6 +82,12 @@ class TestSampleDefectiveSet:
         with pytest.raises(ValueError):
             sample_defective_set(4, 5, seed=1)
 
+    @pytest.mark.parametrize("seed", [None, True, np.bool_(True), 1.5, -1, "3", [1, 2], (1, True)])
+    def test_bad_seed_rejected(self, seed):
+        # None would draw from OS entropy, and True or a list was taken as a seed.
+        with pytest.raises(ValueError, match="^seed must be"):
+            sample_defective_set(30, 2, seed)
+
     def test_uniform_over_pairs(self):
         # all C(4,2)=6 pairs equally likely over 60,000 draws
         pairs = list(itertools.combinations(range(4), 2))

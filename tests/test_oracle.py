@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grouptest import oracle, theory
-from grouptest.decoders import comp
+from grouptest.decoders import DECODERS, comp
 from grouptest.design import DesignMatrix, DesignSpec, gen_bernoulli
 from grouptest.model import ItemSet, OutcomeVector, run_tests, sample_defective_set
 from grouptest.oracle import (
@@ -188,24 +188,27 @@ def _drop_first_feasible_set(real):
     return lambda matrix, outcomes, k: real(matrix, outcomes, k)[1:]
 
 
+# The decoder breakers wrap a ``DECODERS`` tail, ``(stage, alpha) -> DecodeResult``.
 def _comp_dropping_a_pd_item(real):
-    def broken(matrix, outcomes):
-        result = real(matrix, outcomes)
-        return replace(result, estimate=ItemSet(result.estimate.members[1:], matrix.n_items))
+    def broken(stage, alpha):
+        result = real(stage, alpha)
+        n_items = result.estimate.universe_size
+        return replace(result, estimate=ItemSet(result.estimate.members[1:], n_items))
     return broken
 
 
 def _dd_adding_a_non_core_item(real):
-    def broken(matrix, outcomes):
-        result = real(matrix, outcomes)
-        extra = next(i for i in range(matrix.n_items) if i not in result.estimate)
-        return replace(result, estimate=ItemSet(result.estimate.members + (extra,), matrix.n_items))
+    def broken(stage, alpha):
+        result = real(stage, alpha)
+        n_items = result.estimate.universe_size
+        extra = next(i for i in range(n_items) if i not in result.estimate)
+        return replace(result, estimate=ItemSet(result.estimate.members + (extra,), n_items))
     return broken
 
 
 def _w_scomp_returning_the_dd_core(real):
-    def broken(matrix, outcomes, alpha=1.0):
-        result = real(matrix, outcomes, alpha)
+    def broken(stage, alpha):
+        result = real(stage, alpha)
         return replace(result, estimate=result.dd_core)
     return broken
 
@@ -222,14 +225,18 @@ class TestVerify:
             ("consistent_sets", _drop_first_feasible_set),
             ("comp", _comp_dropping_a_pd_item),
             ("dd", _dd_adding_a_non_core_item),
-            ("w_scomp", _w_scomp_returning_the_dd_core),
+            ("wscomp", _w_scomp_returning_the_dd_core),
         ],
         ids=["truth-feasible", "feasible-in-comp", "dd-core-in-feasible", "wscomp-reproduces"],
     )
     def test_each_check_catches_its_broken_decoder(self, monkeypatch, name, breaker):
         # Each mutation can trip only its own check, so a count above 0
-        # shows that check fires.
-        monkeypatch.setattr(oracle, name, breaker(getattr(oracle, name)))
+        # shows that check fires. verify decodes through decode_all, so a
+        # decoder is broken in the DECODERS table.
+        if name in DECODERS:
+            monkeypatch.setitem(DECODERS, name, breaker(DECODERS[name]))
+        else:
+            monkeypatch.setattr(oracle, name, breaker(getattr(oracle, name)))
         assert oracle.verify(2, 60)[2] > 0
 
     @pytest.mark.parametrize("error", [1e-9, float("nan")])

@@ -73,6 +73,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("algorithms", ()), ("algorithms", ("comp", "comp")), ("t_values", (12, 12)), ("t_values", [15, np.int64(15)])],
+    )
+    def test_empty_or_repeated_entries_rejected(self, field, value):
+        # Each would run every trial for a header-only CSV or write duplicate rows.
+        with pytest.raises(ValueError, match=f"^{field} must be a nonempty list of distinct"):
+            small_config(**{field: value})
+
     def test_integer_like_values_normalised(self):
         cfg = small_config(t_values=[np.int64(15), 25], n_items=np.int32(40))
         assert cfg.t_values == (15, 25) and type(cfg.t_values[0]) is int
@@ -111,6 +120,13 @@ class TestRunTrial:
         a = run_trial(spec, 4, ALGORITHMS, 1.0, trial_seed=(5, 20, 7))
         b = run_trial(spec, 4, ALGORITHMS, 1.0, trial_seed=(5, 20, 7))
         assert a == b
+
+    @pytest.mark.parametrize("seed", [None, True, np.bool_(True), 1.5, -1, "3", [1, 2], (1, True)])
+    def test_bad_trial_seed_rejected(self, seed):
+        # None would draw from OS entropy, and True or a list was taken as a seed.
+        spec = design_spec_for("bernoulli", 30, 2, 12)
+        with pytest.raises(ValueError, match="^trial_seed must be"):
+            run_trial(spec, 2, ALGORITHMS, 1.0, trial_seed=seed)
 
     def test_structural_error_patterns(self):
         spec = design_spec_for("bernoulli", 50, 5, 25)
