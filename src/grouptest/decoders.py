@@ -55,13 +55,13 @@ order, so results are reproducible across runs and thread counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .design import DesignMatrix, require_int, require_match
+from .checks import require_indices, require_match, require_real
+from .design import DesignMatrix
 from .model import ItemSet, OutcomeVector
 
 
@@ -96,20 +96,6 @@ class ScoreVector:
     scores: dict[int, float]
     weights: dict[int, int]
     alpha: float
-
-
-def check_alpha(alpha) -> float:
-    """``alpha`` as a float; ValueError unless it is a finite number >= 0.
-
-    NaN, infinity, booleans and non-numbers are rejected.
-    """
-    try:
-        ok = not isinstance(alpha, (bool, np.bool_)) and math.isfinite(alpha) and alpha >= 0
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"alpha must be a finite number >= 0, got {alpha!r}")
-    return float(alpha)
 
 
 def _score(sub: np.ndarray, candidates: np.ndarray, alpha: float):
@@ -237,7 +223,7 @@ def decode_all(matrix: DesignMatrix, outcomes: OutcomeVector, names, alpha: floa
     decoders are asked for. Only ``wscomp`` uses ``alpha``; it raises ValueError
     if its increments underflow to 0 before every explainable test is explained.
     """
-    alpha = check_alpha(alpha)
+    alpha = require_real(alpha, "alpha")
     names = check_names(names, "names")
     stage = _stage(matrix, outcomes)
     return {name: DECODERS[name](stage, alpha) for name in names}
@@ -288,12 +274,10 @@ def score_items(
     stage of ``w_scomp`` maximizes at each step.
     """
     require_match(outcomes.n_tests, "outcome length", matrix.n_tests, "matrix n_tests")
-    alpha = check_alpha(alpha)
+    alpha = require_real(alpha, "alpha")
     positive = outcomes.to_mask()
-    unexplained = sorted({require_int(t, "test index") for t in unexplained})
+    unexplained = require_indices(unexplained, matrix.n_tests, "test index")
     for t in unexplained:
-        if not 0 <= t < matrix.n_tests:
-            raise ValueError(f"test index {t} outside [0, {matrix.n_tests})")
         if not positive[t]:
             raise ValueError(f"unexplained test {t} is not positive")
     require_match(candidates.universe_size, "candidate universe size", matrix.n_items, "matrix n_items")

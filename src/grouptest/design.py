@@ -31,11 +31,12 @@ the matrix at the optimal L, so it stays below the matrix for k >= 6.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checks import _BOOLS, require_int, require_keys, require_match, require_prob, require_seed
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,7 @@ class DesignMatrix:
                 bad_row = (t, row)
                 break
             ends.append(len(flat))
+        # Not require_indices: this check is vectorised over every row and names the test.
         try:
             idx = np.array(flat, dtype=np.int64)
             in_range = not flat or (idx.min() >= 0 and idx.max() < n_items)
@@ -170,7 +172,7 @@ class DesignMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DesignMatrix":
-        require_keys(data, "matrix", "rows", "n_items", "n_tests")
+        require_keys(data, "matrix JSON", "rows", "n_items", "n_tests")
         rows = data["rows"]
         if not isinstance(rows, list) or len(rows) != require_int(data["n_tests"], "n_tests"):
             raise ValueError("rows must be a list of n_tests pools")
@@ -197,8 +199,7 @@ def gen_bernoulli(spec: DesignSpec) -> DesignMatrix:
     The uniforms are drawn in row-major blocks, each compared straight into
     the matrix: it is the same stream as one whole-matrix draw.
     """
-    if spec.design_kind != "bernoulli":
-        raise ValueError(f"spec is for {spec.design_kind!r}, expected bernoulli")
+    require_match(spec.design_kind, "spec design_kind", "bernoulli", "generator")
     p = spec.inclusion_prob
     rng = _rng(spec.seed)
     dense = np.empty((spec.n_tests, spec.n_items), dtype=bool)
@@ -220,8 +221,7 @@ def gen_constant_column(spec: DesignSpec) -> DesignMatrix:
     draw. Each column is an exactly uniform L-subset, independent of the
     others.
     """
-    if spec.design_kind != "constant_column":
-        raise ValueError(f"spec is for {spec.design_kind!r}, expected constant_column")
+    require_match(spec.design_kind, "spec design_kind", "constant_column", "generator")
     L, T = spec.column_weight, spec.n_tests
     rng = _rng(spec.seed)
     dense = np.zeros((T, spec.n_items), dtype=bool)
@@ -242,8 +242,7 @@ def gen_near_constant_column(spec: DesignSpec) -> DesignMatrix:
     into the dense matrix. Row i of the draw holds the same values that N
     successive per-item draws of L would give item i.
     """
-    if spec.design_kind != "near_constant_column":
-        raise ValueError(f"spec is for {spec.design_kind!r}, expected near_constant_column")
+    require_match(spec.design_kind, "spec design_kind", "near_constant_column", "generator")
     L = spec.column_weight
     rng = _rng(spec.seed)
     dense = np.zeros((spec.n_tests, spec.n_items), dtype=bool)
@@ -267,72 +266,6 @@ DESIGN_KINDS = tuple(_GENERATORS)
 def generate(spec: DesignSpec) -> DesignMatrix:
     """Dispatch to the generator for ``spec.design_kind``."""
     return _GENERATORS[spec.design_kind](spec)
-
-
-def require_keys(data: dict, what: str, *keys: str) -> None:
-    """ValueError naming the first of ``keys`` missing from the JSON object ``data``."""
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"{what} JSON lacks the required key {key!r}")
-
-
-_BOOLS = (bool, np.bool_)
-
-
-def require_int(value, what: str, minimum: int | None = None) -> int:
-    """``value`` as an int (``operator.index``); ValueError naming ``what`` if it is
-    not one, or if it is below ``minimum`` when that is given.
-
-    The package checks every integer argument here and nowhere else.
-    Booleans, Python's and numpy's, are not integers here.
-    """
-    try:
-        if isinstance(value, _BOOLS):
-            raise TypeError
-        number = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if minimum is not None and number < minimum:
-        raise ValueError(f"{what} must be >= {minimum}, got {number}")
-    return number
-
-
-def require_seed(seed, what: str) -> int | tuple[int, ...]:
-    """``seed`` as a SeedSequence entropy, an int >= 0 or a tuple of them (each
-    through ``require_int``); ValueError naming ``what`` otherwise, so None (OS entropy) too."""
-    if isinstance(seed, tuple):
-        return tuple(require_int(s, what, 0) for s in seed)
-    return require_int(seed, what, 0)
-
-
-def require_defectives(n_items, n_defectives, interior: bool = False) -> tuple[int, int]:
-    """``(n_items, n_defectives)`` as Python ints, which cannot overflow; ValueError
-    unless 0 <= k <= N, or 1 <= k < N when ``interior`` (closed forms, moment oracles)."""
-    n_items = require_int(n_items, "n_items")
-    n_defectives = require_int(n_defectives, "n_defectives")
-    if not (1 <= n_defectives < n_items if interior else 0 <= n_defectives <= n_items):
-        relation = "1 <= k < N" if interior else "0 <= k <= N"
-        raise ValueError(f"need {relation}, got k={n_defectives}, N={n_items}")
-    return n_items, n_defectives
-
-
-def require_match(value, what: str, expected, against: str) -> None:
-    """ValueError unless ``value`` (``what``) equals ``expected`` (``against``),
-    as for two sizes that must agree."""
-    if value != expected:
-        raise ValueError(f"{what} {value} does not match {against} {expected}")
-
-
-def require_prob(value, what: str, interior: bool = False):
-    """``value`` as a probability in [0, 1], or in (0, 1) when ``interior``;
-    ValueError naming ``what`` for a boolean, a non-number, NaN or a value
-    outside. A numpy scalar becomes the equal Python number; an int stays an int.
-    """
-    # A float, the common case, skips the slower numbers.Real check.
-    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, _BOOLS))
-    if not real or not (0 < value < 1 if interior else 0 <= value <= 1):
-        raise ValueError(f"{what} must be a number in {'(0, 1)' if interior else '[0, 1]'}, got {value!r}")
-    return value.item() if isinstance(value, np.generic) else value
 
 
 def _seed_for_params(seed) -> int | list[int]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .design import require_defectives, require_int, require_match
+from .checks import require_defectives, require_int, require_match
 from .model import ItemSet
 
 

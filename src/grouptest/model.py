@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, require_defectives, require_int, require_keys, require_match, require_seed
+from .checks import require_defectives, require_indices, require_int, require_keys, require_match, require_seed
+from .design import DesignMatrix
 
 
 @dataclass(frozen=True)
@@ -23,13 +24,8 @@ class ItemSet:
     universe_size: int
 
     def __post_init__(self):
-        members = tuple(sorted({require_int(i, "item index") for i in self.members}))
-        object.__setattr__(self, "members", members)
         object.__setattr__(self, "universe_size", require_int(self.universe_size, "universe_size", 0))
-        if members and (members[0] < 0 or members[-1] >= self.universe_size):
-            raise ValueError(
-                f"item index outside [0, {self.universe_size}): {members}"
-            )
+        object.__setattr__(self, "members", tuple(require_indices(self.members, self.universe_size, "item index")))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "ItemSet":
@@ -60,14 +56,14 @@ class ItemSet:
 
 @dataclass(frozen=True)
 class OutcomeVector:
-    """The T binary test results (each 0, 1 or a bool), index-aligned with the design's rows."""
+    """The T binary test results (each a bool or an int 0 or 1, numpy's too), index-aligned with the design's rows."""
 
     bits: tuple[bool, ...]
 
     def __post_init__(self):
         bits = tuple(self.bits)
         for t, b in enumerate(bits):
-            if b not in (0, 1):
+            if not isinstance(b, (bool, int, np.bool_, np.integer)) or b not in (0, 1):
                 raise ValueError(f"outcome bit {t} is {b!r}, not 0 or 1")
         object.__setattr__(self, "bits", tuple(bool(b) for b in bits))
 
@@ -93,7 +89,7 @@ class OutcomeVector:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OutcomeVector":
-        require_keys(data, "outcomes", "bits")
+        require_keys(data, "outcomes JSON", "bits")
         bits = data["bits"]
         if not isinstance(bits, list):
             raise ValueError(f"outcome bits must be a list, got {bits!r}")

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
+from .checks import require_defectives, require_int, require_match, require_prob
 from .decoders import decode_all
-from .design import DesignMatrix, DesignSpec, generate, require_defectives, require_int, require_match, require_prob
+from .design import DesignMatrix, DesignSpec, generate
 from .model import ItemSet, OutcomeVector, run_tests, sample_defective_set
 
 _MAX_ENUM_ITEMS = 16

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+from .checks import require_keys
 from .sim import ALGORITHMS, delta_points
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
@@ -46,11 +47,6 @@ def _read_csv(path: str) -> list[dict]:
     return rows
 
 
-def _require_column(rows: list[dict], column: str):
-    if column not in rows[0]:
-        raise ValueError(f"missing column: {column}")
-
-
 def build_series(spec: PlotSpec) -> tuple[dict[str, list[tuple[float, float]]], list[tuple[float, float]]]:
     """Series points keyed by name, plus the bound overlay points (maybe empty)."""
     if spec.metric not in METRIC_COLUMNS:
@@ -61,9 +57,7 @@ def build_series(spec: PlotSpec) -> tuple[dict[str, list[tuple[float, float]]], 
         raise ValueError(f"smooth_window applies to the delta metric only, not {spec.metric!r}")
     rows = _read_csv(spec.input_csv)
     column = METRIC_COLUMNS[spec.metric]
-    _require_column(rows, column)
-    _require_column(rows, "T")
-    _require_column(rows, "algorithm")
+    require_keys(rows[0], "sweep CSV", column, "T", "algorithm")
 
     if spec.zoom is not None:
         lo, hi = spec.zoom
@@ -84,7 +78,7 @@ def build_series(spec: PlotSpec) -> tuple[dict[str, list[tuple[float, float]]], 
 
     bound_points: list[tuple[float, float]] = []
     if spec.overlay_counting_bound:
-        _require_column(rows, "counting_bound")
+        require_keys(rows[0], "sweep CSV", "counting_bound")
         seen = {}
         for r in rows:
             seen[float(r["T"])] = float(r["counting_bound"])

@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import design as design_mod
-from .decoders import DECODERS, check_alpha, check_names, decode_all
+from .checks import require_defectives, require_int, require_keys, require_real, require_seed
+from .decoders import DECODERS, check_names, decode_all
 from .metrics import RecoveryStats, confusion, counting_bound
 from .model import sample_defective_set, run_tests
 
@@ -39,23 +40,21 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        n_items, n_defectives = design_mod.require_defectives(self.n_items, self.n_defectives)
+        n_items, n_defectives = require_defectives(self.n_items, self.n_defectives)
         object.__setattr__(self, "n_items", n_items)
         object.__setattr__(self, "n_defectives", n_defectives)
         for name, minimum in (("n_trials", 1), ("master_seed", 0)):
-            object.__setattr__(self, name, design_mod.require_int(getattr(self, name), name, minimum))
+            object.__setattr__(self, name, require_int(getattr(self, name), name, minimum))
         if not isinstance(self.t_values, (list, tuple)):
             raise ValueError(f"t_values must be a list, got {self.t_values!r}")
-        t_values = tuple(design_mod.require_int(t, "each t_values entry", 1) for t in self.t_values)
+        t_values = tuple(require_int(t, "each t_values entry", 1) for t in self.t_values)
         if not t_values or len(set(t_values)) < len(t_values):
             raise ValueError(f"t_values must be a nonempty list of distinct T values, got {list(t_values)}")
         object.__setattr__(self, "t_values", t_values)
-        if self.design_kind not in design_mod.DESIGN_KINDS:
-            raise ValueError(f"unknown design_kind {self.design_kind!r}")
         object.__setattr__(self, "algorithms", check_names(self.algorithms, "algorithms"))
         # The float, so that equal configs write equal CSV bytes (1 and 1.0 alike).
-        object.__setattr__(self, "alpha", check_alpha(self.alpha))
-        # Every T's design is checked here, before any trial of an earlier T runs.
+        object.__setattr__(self, "alpha", require_real(self.alpha, "alpha"))
+        # Every T's design, its kind too, is checked here, before any trial of an earlier T runs.
         for n_tests in self.t_values:
             design_spec_for(self.design_kind, self.n_items, self.n_defectives, n_tests)
 
@@ -71,10 +70,7 @@ class SimConfig:
         """Optional fields absent from ``data`` take their defaults, but
         ``master_seed`` must be given so that every sweep names its seed.
         A key that is not a field, such as a misspelt one, is rejected."""
-        design_mod.require_keys(
-            data, "simulation config",
-            "n_items", "n_defectives", "design_kind", "t_values", "master_seed",
-        )
+        require_keys(data, "simulation config JSON", "n_items", "n_defectives", "design_kind", "t_values", "master_seed")
         unknown = data.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"simulation config has unknown keys: {sorted(unknown)}")
@@ -168,7 +164,7 @@ def run_trial(
     fresh defective set, all decoders. ``trial_seed`` (``require_seed``) gives
     the matrix and the defective set independent sub-seeds.
     """
-    seed = design_mod.require_seed(trial_seed, "trial_seed")
+    seed = require_seed(trial_seed, "trial_seed")
     state = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     matrix = design_mod.generate(replace(design_spec, seed=int(state[0])))
     truth = sample_defective_set(design_spec.n_items, n_defectives, int(state[1]))
@@ -211,7 +207,7 @@ def delta_points(triples, smooth_window: int | None = None) -> list[tuple]:
     is an error, as is a T that lacks either algorithm.
     """
     if smooth_window is not None:
-        smooth_window = design_mod.require_int(smooth_window, "smooth_window", 1)
+        smooth_window = require_int(smooth_window, "smooth_window", 1)
     by_t: dict = {}
     for t, algorithm, value in triples:
         by_t.setdefault(t, {})[algorithm] = value

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import require_defectives, require_int, require_prob
+from .checks import require_defectives, require_int, require_prob, require_real
 
 _SNR_TOL = 1e-12
 _CROSS_PATH_RTOL = 1e-9
@@ -185,9 +185,7 @@ def _unweighted_moments(n_defectives: int, p: float) -> MomentSet:
 def snr_aggregate(snr_per: float, n_tests: int) -> float:
     """Aggregate SNR over T independent tests: sqrt(T) * per-test SNR."""
     n_tests = require_int(n_tests, "n_tests", 0)
-    if not snr_per >= 0:
-        raise ValueError(f"snr_per must be >= 0, got {snr_per}")
-    return math.sqrt(n_tests) * snr_per
+    return math.sqrt(n_tests) * require_real(snr_per, "snr_per")
 
 
 def numerator_identity(n_items: int, n_defectives: int, p: float) -> float:
@@ -358,25 +356,20 @@ def snr_dominance(n_items: int, n_defectives: int) -> bool:
 
 def chebyshev_bound(snr_t: float) -> float:
     """Midpoint-threshold error bound 4 / SNR_T^2, capped at 1."""
-    if not snr_t > 0:
-        raise ValueError(f"snr_t must be > 0, got {snr_t}")
-    return min(1.0, 4.0 / snr_t**2)
+    return min(1.0, 4.0 / require_real(snr_t, "snr_t", positive=True) ** 2)
 
 
 def bayes_bound(snr_t: float) -> float:
     """Bhattacharyya bound on the Bayes error: 0.5 exp(-SNR_T^2 / 4)."""
-    if not snr_t >= 0:
-        raise ValueError(f"snr_t must be >= 0, got {snr_t}")
-    return 0.5 * math.exp(-(snr_t**2) / 4.0)
+    return 0.5 * math.exp(-(require_real(snr_t, "snr_t") ** 2) / 4.0)
 
 
 def bernstein_bound(n_tests: int, sigma2: float, deviation_cap: float, eps: float) -> float:
     """Bernstein tail bound for an aggregated score, capped at 1."""
     n_tests = require_int(n_tests, "n_tests", 1)
-    if not sigma2 >= 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    if not (deviation_cap > 0 and eps > 0):
-        raise ValueError("deviation_cap and eps must be > 0")
+    sigma2 = require_real(sigma2, "sigma2")
+    deviation_cap = require_real(deviation_cap, "deviation_cap", positive=True)
+    eps = require_real(eps, "eps", positive=True)
     raw = 2.0 * math.exp(-(eps**2) / (2.0 * n_tests * sigma2 + 2.0 * deviation_cap * eps / 3.0))
     return min(1.0, raw)
 

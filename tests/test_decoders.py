@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -105,6 +106,22 @@ class TestScoreItems:
     def test_non_integer_test_indices_rejected(self, instance, unexplained):
         m, y, cand = instance
         with pytest.raises(ValueError, match="must be an integer"):
+            score_items(m, y, cand, unexplained, alpha=1.0)
+
+    @pytest.mark.parametrize(
+        "unexplained, message",
+        [
+            ([0, -1], "test index -1 outside [0, 3)"),
+            ([3, 0], "test index 3 outside [0, 3)"),
+            ([True], "test index must be an integer, got True"),
+            ([1.5], "test index must be an integer, got 1.5"),
+            (5, "test index values must be an iterable of integers, got 5"),
+        ],
+        ids=["negative", "size", "bool", "float", "not-iterable"],
+    )
+    def test_bad_test_indices_rejected_by_the_index_rule(self, instance, unexplained, message):
+        m, y, cand = instance
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             score_items(m, y, cand, unexplained, alpha=1.0)
 
     def test_numpy_integer_test_indices_accepted(self, instance):

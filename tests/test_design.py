@@ -185,6 +185,21 @@ def test_single_item_weight_equals_tests(kind):
             assert 1 <= weight <= 6
 
 
+@pytest.mark.parametrize(
+    "generator, spec",
+    [
+        (gen_bernoulli, column_spec("constant_column", 3, 4, 2)),
+        (gen_constant_column, bernoulli_spec(3, 4, 0.5)),
+        (gen_near_constant_column, column_spec("constant_column", 3, 4, 2)),
+    ],
+    ids=["bernoulli", "constant_column", "near_constant_column"],
+)
+def test_generator_rejects_a_spec_of_another_kind(generator, spec):
+    kind = generator.__name__.removeprefix("gen_")
+    with pytest.raises(ValueError, match=f"^spec design_kind {spec.design_kind} does not match generator {kind}$"):
+        generator(spec)
+
+
 class TestPinnedStreams:
     """sha256 of ``dense.tobytes()`` for fixed specs; a change to a generator's
     random stream fails here. The Bernoulli and near-constant digests predate

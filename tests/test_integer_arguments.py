@@ -1,4 +1,4 @@
-"""Every public integer argument goes through ``design.require_int``.
+"""Every public integer argument goes through ``checks.require_int``.
 
 Each case calls one function with the value under test in one argument and
 valid values elsewhere. A non-integer (booleans included) is rejected with a

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,21 @@ class TestItemSet:
     def test_non_integer_indices_rejected(self, members, universe_size):
         with pytest.raises(ValueError, match="must be an integer"):
             ItemSet(members, universe_size=universe_size)
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ((0, -1), "item index -1 outside [0, 3)"),
+            ((3, 0), "item index 3 outside [0, 3)"),
+            ((True,), "item index must be an integer, got True"),
+            ((1.5,), "item index must be an integer, got 1.5"),
+            (5, "item index values must be an iterable of integers, got 5"),
+        ],
+        ids=["negative", "size", "bool", "float", "not-iterable"],
+    )
+    def test_bad_members_rejected_by_the_index_rule(self, members, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ItemSet(members, universe_size=3)
 
     def test_numpy_integers_accepted(self):
         s = ItemSet((np.int64(2), np.int32(0), np.uint8(2)), universe_size=np.int64(3))
@@ -168,8 +184,11 @@ def test_outcome_json_round_trip():
     assert OutcomeVector.from_json_dict(y.to_json_dict()) == y
     assert y.to_json_dict() == {"bits": [1, 0, 1]}
     # The constructor and from_json_dict reject the same non-bits.
-    for bad, where, value in [((0.5, "0", 2), 0, 0.5), ((1, "0"), 1, "0"), ((0, 1, 2), 2, 2)]:
-        message = f"outcome bit {where} is {value!r}, not 0 or 1"
+    for bad, where, value in [
+        ((0.5, "0", 2), 0, 0.5), ((1, "0"), 1, "0"), ((0, 1, 2), 2, 2),
+        ((1.0, 0), 0, 1.0), ((0, np.float64(1.0)), 1, np.float64(1.0)), ((1, 1 + 0j), 1, 1 + 0j),
+    ]:
+        message = re.escape(f"outcome bit {where} is {value!r}, not 0 or 1")
         with pytest.raises(ValueError, match=message):
             OutcomeVector(bad)
         with pytest.raises(ValueError, match=message):

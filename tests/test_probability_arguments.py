@@ -1,4 +1,4 @@
-"""Every public probability argument goes through ``design.require_prob``.
+"""Every public probability argument goes through ``checks.require_prob``.
 
 A probability is a real number in [0, 1], or in (0, 1) where the closed
 forms need it; booleans, non-numbers, NaN and values outside are rejected

@@ -1,7 +1,7 @@
 """Each relation between arguments is checked by one shared rule.
 
-k within N goes through ``design.require_defectives``, two sizes that must
-agree through ``design.require_match`` and lists of decoder names through
+k within N goes through ``checks.require_defectives``, two sizes that must
+agree through ``checks.require_match`` and lists of decoder names through
 ``decoders.check_names``, so every caller raises the rule's one message.
 """
 
