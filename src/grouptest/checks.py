@@ -85,6 +85,13 @@ def require_defectives(n_items, n_defectives, interior: bool = False) -> tuple[i
     return n_items, n_defectives
 
 
+def require_choice(value, what: str, choices) -> None:
+    """ValueError naming ``what`` and the sorted ``choices`` unless ``value`` is one of
+    those names (a string, so an unhashable value fails here too)."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; choose from {sorted(choices)}")
+
+
 def require_match(value, what: str, expected, against: str) -> None:
     """ValueError unless ``value`` (``what``) equals ``expected`` (``against``),
     as for two sizes that must agree."""

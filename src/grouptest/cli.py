@@ -153,8 +153,6 @@ def _cmd_simulate(args) -> int:
     raw = _load_json(args.config)
     if args.seed is not None:
         raw["master_seed"] = args.seed
-    if "master_seed" not in raw:
-        raise ValueError("provide --seed or a master_seed in the config")
     config = SimConfig.from_json_dict(raw)
     sweep = run_sweep(config)
     sweep.to_csv(args.output)

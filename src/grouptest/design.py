@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _BOOLS, require_int, require_keys, require_match, require_prob, require_seed
+from .checks import _BOOLS, require_choice, require_int, require_keys, require_match, require_prob, require_seed
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class DesignSpec:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        if self.design_kind not in DESIGN_KINDS:
-            raise ValueError(f"unknown design_kind {self.design_kind!r}")
+        require_choice(self.design_kind, "design_kind", DESIGN_KINDS)
         for name in ("n_items", "n_tests", "column_weight"):
             if name != "column_weight" or self.column_weight is not None:
                 object.__setattr__(self, name, require_int(getattr(self, name), name, 1))
@@ -88,8 +87,7 @@ class DesignMatrix:
     __slots__ = ("n_tests", "n_items", "design_kind", "params", "dense")
 
     def __init__(self, rows, n_items: int, design_kind: str = "explicit", params: dict | None = None):
-        if design_kind not in DESIGN_KINDS + ("explicit",):
-            raise ValueError(f"unknown design_kind {design_kind!r}")
+        require_choice(design_kind, "design_kind", DESIGN_KINDS + ("explicit",))
         n_tests = len(rows)
         n_items = require_int(n_items, "n_items", 0)
         if params is not None and not isinstance(params, dict):

@@ -146,11 +146,9 @@ def verify(n_max: int, trials: int) -> tuple[float, float, int]:
     W-SCOMP estimate reproduces the outcomes. ValueError if ``n_max``
     exceeds the enumeration budget or checks nothing (below 2), or if ``trials`` < 0.
     """
-    n_max, trials = require_int(n_max, "n_max"), require_int(trials, "trials")
+    n_max, trials = require_int(n_max, "n_max", 2), require_int(trials, "trials", 0)
     if n_max > _MAX_ENUM_ITEMS:
         raise ValueError(f"--n-max is capped at {_MAX_ENUM_ITEMS} by the enumeration budget")
-    if n_max < 2 or trials < 0:
-        raise ValueError(f"need --n-max >= 2 and --trials >= 0, got {n_max} and {trials}")
     devs_w, devs_u = [0.0], [0.0]
     for n in range(2, n_max + 1):
         for k in range(1, n):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .checks import require_keys
+from .checks import require_choice, require_keys
 from .sim import ALGORITHMS, delta_points
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
@@ -49,10 +49,7 @@ def _read_csv(path: str) -> list[dict]:
 
 def build_series(spec: PlotSpec) -> tuple[dict[str, list[tuple[float, float]]], list[tuple[float, float]]]:
     """Series points keyed by name, plus the bound overlay points (maybe empty)."""
-    if spec.metric not in METRIC_COLUMNS:
-        raise ValueError(
-            f"unknown metric {spec.metric!r}; choose from {sorted(METRIC_COLUMNS)}"
-        )
+    require_choice(spec.metric, "metric", METRIC_COLUMNS)
     if spec.smooth_window is not None and spec.metric != "delta":
         raise ValueError(f"smooth_window applies to the delta metric only, not {spec.metric!r}")
     rows = _read_csv(spec.input_csv)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import design as design_mod
-from .checks import require_defectives, require_int, require_keys, require_real, require_seed
+from .checks import require_choice, require_defectives, require_int, require_keys, require_real, require_seed
 from .decoders import DECODERS, check_names, decode_all
 from .metrics import RecoveryStats, confusion, counting_bound
 from .model import sample_defective_set, run_tests
@@ -138,6 +138,7 @@ class SweepResult:
 
 def design_spec_for(design_kind: str, n_items: int, n_defectives: int, n_tests: int, seed=0) -> design_mod.DesignSpec:
     """The per-T design spec with optimal parameters (degenerate at k = 0)."""
+    require_choice(design_kind, "design_kind", design_mod.DESIGN_KINDS)
     if design_kind == "bernoulli":
         p = 1.0 if n_defectives == 0 else design_mod.optimal_bernoulli_p(n_defectives)
         return design_mod.DesignSpec(

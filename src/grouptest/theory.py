@@ -21,7 +21,8 @@ All binomial probabilities are evaluated in log space, with log C(n, j)
 taken as running sums of log((n+1-j)/j), so that N = 500-scale sums
 neither overflow nor lose the small tails; the ingredients of f(N, k)
 that mix huge binomials with tiny powers are combined term-by-term in
-log space before exponentiation.
+log space before exponentiation. The non-defective moments convolve two
+binomial pmfs in one dimension, so every moment takes O(N) memory.
 
 Each public function checks its arguments once and then works through
 private helpers (``_coverage``, ``_binom_pmf``, ``_weighted_moments``, ...)
@@ -108,26 +109,6 @@ class MomentSet:
             raise ValueError("second moment below squared mean: inconsistent MomentSet")
 
 
-def _mean_reciprocal_weight_defective(n_items: int, p: float) -> float:
-    # E[1/(1+Z)] for Z ~ Bin(N-1, p): equals (1 - (1-p)**N) / (N p).
-    return -math.expm1(n_items * math.log1p(-p)) / (n_items * p)
-
-
-def _nd_base_moments(n_items: int, n_defectives: int, p: float) -> tuple[float, float]:
-    # Mean and mean-square of 1/(1 + H + R) with H ~ Bin(k, p) conditioned on
-    # H >= 1 and R ~ Bin(N-k-1, p) independent.
-    q = _coverage(n_defectives, p)
-    pmf_def = _binom_pmf(n_defectives, p)[1:]
-    pmf_other = _binom_pmf(n_items - n_defectives - 1, p)
-    h = np.arange(1, n_defectives + 1)
-    r = np.arange(n_items - n_defectives)
-    denom = 1.0 + h[:, np.newaxis] + r[np.newaxis, :]
-    joint = pmf_def[:, np.newaxis] * pmf_other[np.newaxis, :]
-    mean = float((joint / denom).sum()) / q
-    mean_sq = float((joint / denom**2).sum()) / q
-    return mean, mean_sq
-
-
 def _check_domain(n_items: int, n_defectives: int, p: float) -> tuple[int, int, float]:
     return (*require_defectives(n_items, n_defectives, interior=True), require_prob(p, "p", interior=True))
 
@@ -165,10 +146,15 @@ def weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
 
 def _weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
     q = _coverage(n_defectives, p)
-    base_mu_d = _mean_reciprocal_weight_defective(n_items, p)
-    pmf = _binom_pmf(n_items - 1, p)
-    base_nu_d = float((pmf / (1.0 + np.arange(n_items)) ** 2).sum())
-    base_mu_nd, base_nu_nd = _nd_base_moments(n_items, n_defectives, p)
+    recip = 1.0 / (1.0 + np.arange(n_items))
+    # Defective item: 1/(1 + Z), Z ~ Bin(N-1, p), with mean (1 - (1-p)**N) / (N p).
+    base_mu_d = -math.expm1(n_items * math.log1p(-p)) / (n_items * p)
+    base_nu_d = float((_binom_pmf(n_items - 1, p) * recip**2).sum())
+    # Non-defective item in a positive test: 1/(1 + H + R), H ~ Bin(k, p) with
+    # H >= 1 and R ~ Bin(N-k-1, p); entry i of the convolution is P(H + R = i + 1, H >= 1).
+    joint = np.convolve(_binom_pmf(n_defectives, p)[1:], _binom_pmf(n_items - n_defectives - 1, p))
+    base_mu_nd = float((joint * recip[1:]).sum()) / q
+    base_nu_nd = float((joint * recip[1:] ** 2).sum()) / q
     return _moment_set("weighted", p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd)
 
 
@@ -356,12 +342,14 @@ def snr_dominance(n_items: int, n_defectives: int) -> bool:
 
 def chebyshev_bound(snr_t: float) -> float:
     """Midpoint-threshold error bound 4 / SNR_T^2, capped at 1."""
-    return min(1.0, 4.0 / require_real(snr_t, "snr_t", positive=True) ** 2)
+    snr_t = require_real(snr_t, "snr_t", positive=True)
+    return 1.0 if snr_t <= 2.0 else 4.0 / (snr_t * snr_t)  # x * x is inf where x ** 2 raises
 
 
 def bayes_bound(snr_t: float) -> float:
     """Bhattacharyya bound on the Bayes error: 0.5 exp(-SNR_T^2 / 4)."""
-    return 0.5 * math.exp(-(require_real(snr_t, "snr_t") ** 2) / 4.0)
+    snr_t = require_real(snr_t, "snr_t")
+    return 0.5 * math.exp(-(snr_t * snr_t) / 4.0)
 
 
 def bernstein_bound(n_tests: int, sigma2: float, deviation_cap: float, eps: float) -> float:
@@ -370,7 +358,8 @@ def bernstein_bound(n_tests: int, sigma2: float, deviation_cap: float, eps: floa
     sigma2 = require_real(sigma2, "sigma2")
     deviation_cap = require_real(deviation_cap, "deviation_cap", positive=True)
     eps = require_real(eps, "eps", positive=True)
-    raw = 2.0 * math.exp(-(eps**2) / (2.0 * n_tests * sigma2 + 2.0 * deviation_cap * eps / 3.0))
+    # eps^2 / (2 T sigma^2 + 2 cap eps / 3) divided through by eps, so no step overflows early.
+    raw = 2.0 * math.exp(-eps / (2.0 * n_tests * (sigma2 / eps) + 2.0 * deviation_cap / 3.0))
     return min(1.0, raw)
 
 

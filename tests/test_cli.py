@@ -349,6 +349,11 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1
         assert run_cli("simulate", "--config", str(cfg), "--seed", "5", "-o", str(tmp_path / "x.csv")) == 0
 
+    def test_missing_seed_names_the_key(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, with_seed=False)
+        assert run_cli("simulate", "--config", str(cfg), "-o", str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err.startswith("gt: simulation config JSON lacks the required key 'master_seed'\n")
+
 
 class TestTheory:
     def test_snr_prints_reference_values(self, capsys):

@@ -1,4 +1,5 @@
-"""Working-memory bounds of generating, testing and decoding one large instance.
+"""Working-memory bounds of generating, testing and decoding one large instance,
+and of the closed-form moments at a large N.
 
 tracemalloc sees numpy's data allocations, so a T x N temporary shows in
 these peaks. The instance has the size of the ``decode_large`` benchmark's:
@@ -9,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from grouptest import DECODERS, DesignSpec, dd, decode, generate, run_tests, sample_defective_set
+from grouptest import DECODERS, DesignSpec, dd, decode, generate, run_tests, sample_defective_set, theory
 
 N_ITEMS, N_TESTS, N_DEFECTIVES = 5000, 400, 50
 SPEC = DesignSpec("bernoulli", N_ITEMS, N_TESTS, inclusion_prob=1 / (N_DEFECTIVES + 1), seed=7)
@@ -58,3 +59,9 @@ def test_dd_works_on_the_potential_defective_columns(instance, name):
     matrices = 2 if name in ("scomp", "wscomp") else 1
     matrix, _, outcomes = instance
     assert _peak(lambda: decode(name, matrix, outcomes)) < matrices * matrix.dense.nbytes
+
+
+def test_weighted_moments_take_o_n_memory():
+    # A k x (N-k) float64 array alone would be 76 MiB here; O(N) arrays are 0.8 MB each.
+    theory.weighted_moments(100, 10, 0.1)  # first use, as in ``instance``
+    assert _peak(lambda: theory.weighted_moments(10**5, 100, 1 / 101)) <= 16 * MIB

@@ -259,5 +259,6 @@ class TestVerify:
 
     @pytest.mark.parametrize("n_max, trials", [(1, 0), (-3, 5), (5, -5)])
     def test_nothing_to_check_rejected(self, n_max, trials):
-        with pytest.raises(ValueError, match="need --n-max >= 2 and --trials >= 0"):
+        message = f"trials must be >= 0, got {trials}" if n_max >= 2 else f"n_max must be >= 2, got {n_max}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             oracle.verify(n_max, trials)

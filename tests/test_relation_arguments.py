@@ -1,7 +1,8 @@
 """Each relation between arguments is checked by one shared rule.
 
 k within N goes through ``checks.require_defectives``, two sizes that must
-agree through ``checks.require_match`` and lists of decoder names through
+agree through ``checks.require_match``, a name from a fixed set through
+``checks.require_choice`` and lists of decoder names through
 ``decoders.check_names``, so every caller raises the rule's one message.
 """
 
@@ -11,10 +12,11 @@ import pytest
 
 from grouptest import theory
 from grouptest.decoders import decode_all, score_items
-from grouptest.design import DesignMatrix
+from grouptest.design import DesignMatrix, DesignSpec
 from grouptest.metrics import confusion, counting_bound
 from grouptest.model import ItemSet, OutcomeVector, run_tests, sample_defective_set
 from grouptest.oracle import brute_force_unweighted_moments, brute_force_weighted_moments, consistent_sets
+from grouptest.plotting import PlotSpec, build_series
 from grouptest.sim import SimConfig
 
 _MATRIX = DesignMatrix([[0, 1], [1, 2]], n_items=3)
@@ -68,6 +70,35 @@ SIZE_MISMATCHES = {
     ),
 }
 
+_KINDS = "['bernoulli', 'constant_column', 'near_constant_column']"
+_METRICS = "['delta', 'f1', 'jaccard', 'mean_fn', 'mean_fp', 'success_prob']"
+
+# (call with a name outside its set, the message)
+UNKNOWN_CHOICES = {
+    "DesignSpec": (
+        lambda: DesignSpec("bogus", 5, 4, inclusion_prob=0.5),
+        f"unknown design_kind 'bogus'; choose from {_KINDS}",
+    ),
+    "DesignMatrix": (
+        lambda: DesignMatrix([[0]], 3, "bogus"),
+        "unknown design_kind 'bogus'; choose from "
+        "['bernoulli', 'constant_column', 'explicit', 'near_constant_column']",
+    ),
+    # T = 5 is too small for k = 10 under a column design; the kind is reported first.
+    "SimConfig": (
+        lambda: SimConfig(500, 10, "bogus", (5,)),
+        f"unknown design_kind 'bogus'; choose from {_KINDS}",
+    ),
+    "build_series": (
+        lambda: build_series(PlotSpec("no-such.csv", "bogus", "x.svg")),
+        f"unknown metric 'bogus'; choose from {_METRICS}",
+    ),
+    "build_series.unhashable": (
+        lambda: build_series(PlotSpec("no-such.csv", ["delta"], "x.svg")),
+        f"unknown metric ['delta']; choose from {_METRICS}",
+    ),
+}
+
 # (argument name in the message, call with the names under test)
 NAME_LISTS = {
     "decode_all": ("names", lambda names: decode_all(_MATRIX, _OUTCOMES, names)),
@@ -90,6 +121,13 @@ def test_k_not_below_n_rejected(case):
 @pytest.mark.parametrize("case", SIZE_MISMATCHES)
 def test_size_mismatch_rejected(case):
     call, message = SIZE_MISMATCHES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("case", UNKNOWN_CHOICES)
+def test_unknown_choice_rejected(case):
+    call, message = UNKNOWN_CHOICES[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,50 @@ class TestWeightedMoments:
                     assert m.nu_d - m.mu_d**2 >= -1e-12
                     assert m.nu_nd - m.mu_nd**2 >= -1e-12
                     assert m.sigma2 > 0
+
+
+def _exact_base_moments(n, k, p):
+    """The four base moments of ``weighted_moments`` as exact Fractions, by the double
+    sum over H ~ Bin(k, p) with H >= 1 and R ~ Bin(N-k-1, p) in integer arithmetic."""
+    a, b = Fraction(p).as_integer_ratio()
+
+    def weights(m):  # Bin(m, p) pmf times b**m
+        return [math.comb(m, j) * a**j * (b - a) ** (m - j) for j in range(m + 1)]
+
+    lcm = math.lcm(*range(1, n + 1))
+    scale = lcm * b ** (n - 1)
+    by_d = weights(n - 1)
+    mu_d = Fraction(sum(w * (lcm // (1 + z)) for z, w in enumerate(by_d)), scale)
+    nu_d = Fraction(sum(w * (lcm // (1 + z)) ** 2 for z, w in enumerate(by_d)), lcm * scale)
+    by_h, by_r = weights(k), weights(n - k - 1)
+    mu_nd = nu_nd = 0
+    for h in range(1, k + 1):
+        for r, w in enumerate(by_r):
+            share = lcm // (1 + h + r)
+            mu_nd += by_h[h] * w * share
+            nu_nd += by_h[h] * w * share * share
+    q = 1 - Fraction(b - a, b) ** k
+    return mu_d, nu_d, Fraction(mu_nd, scale) / q, Fraction(nu_nd, lcm * scale) / q
+
+
+@pytest.mark.parametrize(
+    "n, k, p",
+    [(40, 5, 1 / 6), (300, 1, 1e-9), (300, 3, 0.25), (200, 10, 1 / 11), (100, 2, 1e-12), (60, 59, 0.3), (300, 1, 0.5)],
+)
+def test_base_moments_match_exact_fractions(n, k, p):
+    # Tiny p is where P(Bin(N-1) = s) - (1-p)**k P(Bin(N-k-1) = s) loses digits (3.6e-4 at 1e-12).
+    m = weighted_moments(n, k, p)
+    got = (m.base_mu_d, m.base_nu_d, m.base_mu_nd, m.base_nu_nd)
+    for value, exact in zip(got, _exact_base_moments(n, k, p)):
+        assert abs(Fraction(value) - exact) <= Fraction(1, 10**12) * exact
+
+
+@pytest.mark.parametrize("n, k", [(10**4, 10), (10**5, 10), (10**5, 100)])
+def test_f_value_past_the_grid(n, k):
+    point = f_value(n, k)  # TheoryPoint raises if the two routes disagree
+    assert point.f_value > 0
+    if k == 10:
+        assert 370 <= n**3 * point.f_value <= 385
 
 
 class TestUnweightedMoments:
@@ -291,6 +336,37 @@ class TestBounds:
         for args in ((4, math.nan, 1.0, 1.0), (4, 0.25, math.nan, 1.0), (4, 0.25, 1.0, math.nan)):
             with pytest.raises(ValueError):
                 bernstein_bound(*args)
+
+    @pytest.mark.parametrize(
+        "bound, args, limit",
+        [
+            (chebyshev_bound, (1e-200,), 1.0),
+            (chebyshev_bound, (1e200,), 0.0),
+            (bayes_bound, (1e200,), 0.0),
+            (bernstein_bound, (10, 0.0, 1e-200, 1e-200), 2 * math.exp(-1.5)),
+            (bernstein_bound, (10, 1.0, 1.0, 1e200), 0.0),
+            (bernstein_bound, (10, 1e307, 1.0, 1e200), 0.0),
+            (bernstein_bound, (10, 0.0, 1e-100, 1e-300), 1.0),
+        ],
+    )
+    def test_extreme_inputs_reach_their_limits(self, bound, args, limit):
+        # Each squares or multiplies its way past the float range in the textbook form.
+        assert bound(*args) == pytest.approx(limit, rel=1e-15, abs=0.0)
+
+    def test_bernstein_matches_the_textbook_form(self):
+        rng = np.random.default_rng(2026)
+        compared = 0
+        for _ in range(2000):
+            n_tests = int(rng.integers(1, 10**4))
+            sigma2, cap, eps = 10.0 ** rng.uniform(-8, 4, size=3)
+            try:
+                old = 2.0 * math.exp(-(eps**2) / (2.0 * n_tests * sigma2 + 2.0 * cap * eps / 3.0))
+            except (ZeroDivisionError, OverflowError):
+                continue
+            new = bernstein_bound(n_tests, sigma2, cap, eps)
+            assert new == pytest.approx(min(1.0, old), rel=1e-12, abs=0.0)
+            compared += new < 1.0
+        assert compared > 100
 
     def test_bounds_decrease_in_snr(self):
         snrs = np.linspace(2.0, 30.0, 50)
