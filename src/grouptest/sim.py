@@ -15,7 +15,9 @@ prior is simulated with full participation (p = 1, L = T).
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import operator
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -27,6 +29,13 @@ from .metrics import RecoveryStats, confusion, counting_bound
 from .model import sample_defective_set, run_tests
 
 ALGORITHMS = tuple(DECODERS)
+
+
+def _sum(values):
+    """Left-to-right sum. From Python 3.12 builtin ``sum`` compensates float rounding,
+    which would change the last digit of some CSV means between interpreter versions."""
+    return functools.reduce(operator.add, values, 0)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -191,7 +200,7 @@ def run_sweep(config: SimConfig) -> SweepResult:
         n = len(trials)
         bound = counting_bound(config.n_items, config.n_defectives, n_tests)
         for a in config.algorithms:
-            means = {mean: sum(getattr(t[a], stat) for t in trials) / n for mean, stat in _MEANS.items()}
+            means = {mean: _sum(getattr(t[a], stat) for t in trials) / n for mean, stat in _MEANS.items()}
             rows.append(SweepRow(
                 design=config.design_kind, algorithm=a, n_items=config.n_items,
                 n_defectives=config.n_defectives, n_tests=n_tests, alpha=config.alpha,
@@ -203,9 +212,10 @@ def run_sweep(config: SimConfig) -> SweepResult:
 def delta_points(triples, smooth_window: int | None = None) -> list[tuple]:
     """Per-T scomp minus wscomp of ``(T, algorithm, value)`` triples, sorted by T.
 
-    ``smooth_window`` applies a centered simple moving average (edges use
-    the available neighbours); a window that is not an integer of at least 1
-    is an error, as is a T that lacks either algorithm.
+    ``smooth_window`` w applies a centered simple moving average over w // 2
+    points before and (w - 1) // 2 after (edges use the available neighbours);
+    a window that is not an integer of at least 1 is an error, as is a T that
+    lacks either algorithm.
     """
     if smooth_window is not None:
         smooth_window = require_int(smooth_window, "smooth_window", 1)
@@ -218,12 +228,12 @@ def delta_points(triples, smooth_window: int | None = None) -> list[tuple]:
             raise ValueError(f"delta needs both scomp and wscomp rows, T={t} lacks one")
     deltas = [by_t[t]["scomp"] - by_t[t]["wscomp"] for t in t_values]
     if smooth_window is not None and smooth_window > 1:
-        half = (smooth_window - 1) // 2
+        before, after = smooth_window // 2, (smooth_window - 1) // 2
         smoothed = []
         for i in range(len(deltas)):
-            lo = max(0, i - half)
-            hi = min(len(deltas), i + half + 1)
-            smoothed.append(sum(deltas[lo:hi]) / (hi - lo))
+            lo = max(0, i - before)
+            hi = min(len(deltas), i + after + 1)
+            smoothed.append(_sum(deltas[lo:hi]) / (hi - lo))
         deltas = smoothed
     return list(zip(t_values, deltas))
 

@@ -170,7 +170,7 @@ def _unweighted_moments(n_defectives: int, p: float) -> MomentSet:
 
 def snr_aggregate(snr_per: float, n_tests: int) -> float:
     """Aggregate SNR over T independent tests: sqrt(T) * per-test SNR."""
-    n_tests = require_int(n_tests, "n_tests", 0)
+    n_tests = require_real(require_int(n_tests, "n_tests", 0), "n_tests")
     return math.sqrt(n_tests) * require_real(snr_per, "snr_per")
 
 
@@ -354,7 +354,7 @@ def bayes_bound(snr_t: float) -> float:
 
 def bernstein_bound(n_tests: int, sigma2: float, deviation_cap: float, eps: float) -> float:
     """Bernstein tail bound for an aggregated score, capped at 1."""
-    n_tests = require_int(n_tests, "n_tests", 1)
+    n_tests = require_real(require_int(n_tests, "n_tests", 1), "n_tests")
     sigma2 = require_real(sigma2, "sigma2")
     deviation_cap = require_real(deviation_cap, "deviation_cap", positive=True)
     eps = require_real(eps, "eps", positive=True)

@@ -11,6 +11,7 @@ import grouptest
 from grouptest import cli
 from grouptest.cli import main
 from grouptest.plotting import METRIC_COLUMNS
+from grouptest.sim import CSV_COLUMNS
 from grouptest.theory import f_grid, unweighted_moments, weighted_moments
 
 
@@ -478,6 +479,35 @@ class TestPlot:
         )
         assert code == 1
         assert f"gt: {message}\n" in capsys.readouterr().err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("bernoulli,comp,40,3", "sweep CSV row 2 lacks a value for 'T'"),
+            ("bernoulli,comp,40,3,10,1.0,5,1,nan,0.5,1.0,0.4,0.5,1.5,0.9",
+             "sweep CSV row 2: success_prob must be a finite number, got 'nan'"),
+            ("bernoulli,comp,40,3,inf,1.0,5,1,0.5,0.5,1.0,0.4,0.5,1.5,0.9",
+             "sweep CSV row 2: T must be a finite number, got 'inf'"),
+            ("bernoulli,comp,40,3,10,1.0,5,1,0.5,0.5,1.0,0.4,0.5,1.5,inf",
+             "sweep CSV row 2: counting_bound must be a finite number, got 'inf'"),
+            ("bernoulli,comp,40,3,10,1.0,5,1,0.5x,0.5,1.0,0.4,0.5,1.5,0.9",
+             "sweep CSV row 2: success_prob must be a finite number, got '0.5x'"),
+        ],
+        ids=["short_row", "nan_value", "inf_T", "inf_bound", "non_numeric"],
+    )
+    def test_bad_row_exits_one(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "bad.csv"
+        good = "bernoulli,scomp,40,3,10,1.0,5,1,0.5,0.5,1.0,0.4,0.5,1.5,0.9"
+        bad.write_text("\n".join([",".join(CSV_COLUMNS), good, row]) + "\n")
+        svg = tmp_path / "x.svg"
+        code = run_cli(
+            "plot", "--input", str(bad), "--metric", "success_prob", "--overlay-counting-bound", "-o", str(svg)
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"gt: {message}\n")
+        assert "Traceback" not in err
         assert not svg.exists()
 
     def test_missing_column_exits_one(self, tmp_path):

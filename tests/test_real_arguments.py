@@ -55,3 +55,17 @@ def test_cli_decode_alpha_exits_one(tmp_path, capsys, alpha):
     argv = ["decode", "--matrix", str(tmp_path / "m.json"), "--outcomes", str(tmp_path / "y.json")]
     assert main(argv + ["--algo", "wscomp", f"--alpha={alpha}"]) == 1
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "call, limit",
+    [(lambda t: snr_aggregate(0.5, t), 4.740375954054589e153), (lambda t: bernstein_bound(t, 1.0, 1.0, 1.0), 1.0)],
+    ids=["snr_aggregate", "bernstein_bound"],
+)
+def test_count_of_tests_too_large_for_a_float(call, limit):
+    # The integer rule runs first; a T past the float range then fails the real rule, not float().
+    assert call(2**1023) == limit
+    with pytest.raises(ValueError, match="^n_tests must be a finite number >= 0, got 1000"):
+        call(10**400)
+    with pytest.raises(ValueError, match="^n_tests must be an integer, got 1.5$"):
+        call(1.5)

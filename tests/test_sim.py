@@ -15,11 +15,17 @@ from grouptest.sim import (
     CSV_COLUMNS,
     SimConfig,
     SweepResult,
+    delta_points,
     delta_series,
     design_spec_for,
     run_sweep,
     run_trial,
 )
+
+
+def delta_triples(*deltas):
+    """``(T, algorithm, value)`` triples whose scomp - wscomp delta at T = 1, 2, ... is ``deltas``."""
+    return [(t, a, d if a == "scomp" else 0) for t, d in enumerate(deltas, 1) for a in ("scomp", "wscomp")]
 
 
 def small_config(**overrides):
@@ -299,6 +305,20 @@ class TestDeltaSeries:
         smooth = delta_series(sweep, smooth_window=3)
         assert [t for t, _ in raw] == [t for t, _ in smooth]
         assert smooth[1][1] == pytest.approx((raw[0][1] + raw[1][1] + raw[2][1]) / 3)
+
+    def test_even_windows_differ(self):
+        # w // 2 points before and (w - 1) // 2 after, so every window is its own average.
+        smoothed = {w: [d for _, d in delta_points(delta_triples(1, 4, 9, 16), w)] for w in (1, 2, 3, 4)}
+        assert smoothed == {
+            1: [1, 4, 9, 16],
+            2: [1.0, 2.5, 6.5, 12.5],
+            3: [2.5, 14 / 3, 29 / 3, 12.5],
+            4: [2.5, 14 / 3, 7.5, 29 / 3],
+        }
+
+    def test_smoothing_sums_left_to_right(self):
+        # ((0.1 + 0.2) + 0.3) / 3; builtin sum on Python 3.12+ gives 0.19999999999999998.
+        assert delta_points(delta_triples(0.1, 0.2, 0.3), 3)[1] == (2, 0.20000000000000004)
 
     @pytest.mark.parametrize("window", [0, -4, 2.5, "3"])
     def test_bad_window_rejected(self, window):
