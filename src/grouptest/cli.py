@@ -21,12 +21,12 @@ import json
 import sys
 
 from . import design as design_mod
-from . import oracle, theory
+from . import checks, oracle, theory
 from .decoders import DECODERS, decode
 from .design import DESIGN_KINDS, DesignMatrix, DesignSpec
 from .model import OutcomeVector
 from .plotting import METRIC_COLUMNS, PlotSpec, emit_plot
-from .sim import SimConfig, run_sweep
+from .sim import SimConfig, design_spec_for, run_sweep
 
 
 class VerificationError(Exception):
@@ -114,28 +114,24 @@ def _dump_json(data: dict, path: str | None):
 
 def _cmd_design(args) -> int:
     if args.kind == "bernoulli":
-        field, flag, value = "inclusion_prob", "--p", args.p
+        flag, value, foreign, foreign_value = "--p", args.p, "--column-weight", args.column_weight
         missing = "bernoulli design needs --p or --k"
-        foreign, foreign_value = "--column-weight", args.column_weight
     else:
-        field, flag, value = "column_weight", "--column-weight", args.column_weight
+        flag, value, foreign, foreign_value = "--column-weight", args.column_weight, "--p", args.p
         missing = "column designs need --column-weight or --k"
-        foreign, foreign_value = "--p", args.p
     if foreign_value is not None:
         raise ValueError(f"{foreign} does not apply to {args.kind} designs; give {flag} or --k")
     if value is not None and args.k is not None:
         raise ValueError(f"give {flag} or --k, not both")
-    if value is None:
-        if args.k is None:
-            raise ValueError(missing)
-        value = (
-            design_mod.optimal_bernoulli_p(args.k)
-            if args.kind == "bernoulli"
-            else design_mod.optimal_column_weight(args.n_tests, args.k)
-        )
-    spec = DesignSpec(args.kind, args.n_items, args.n_tests, seed=args.seed, **{field: value})
-    matrix = design_mod.generate(spec)
-    _dump_json(matrix.to_json_dict(), args.output)
+    if args.k is not None:
+        # The sweep's design; its k = 0 case, every item in every test, stays sweep-only.
+        n_defectives = checks.require_int(args.k, "n_defectives", 1)
+        spec = design_spec_for(args.kind, args.n_items, n_defectives, args.n_tests, args.seed)
+    elif value is None:
+        raise ValueError(missing)
+    else:
+        spec = DesignSpec(args.kind, args.n_items, args.n_tests, args.p, args.column_weight, args.seed)
+    _dump_json(design_mod.generate(spec).to_json_dict(), args.output)
     return 0
 
 

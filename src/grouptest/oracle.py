@@ -41,7 +41,6 @@ class EnumeratedMoments:
     base_nu_d: float
     base_mu_nd: float
     base_nu_nd: float
-    method: str = "exhaustive_patterns"
 
 
 def _peer_patterns(n_items: int, n_defective_peers: int, p: float):
@@ -143,7 +142,7 @@ def verify(n_max: int, trials: int) -> tuple[float, float, int]:
     ``violations`` counts failed checks over ``trials`` seeded random
     Bernoulli instances: (1) the truth is feasible, and every feasible set
     (2) lies inside the COMP estimate and (3) contains the DD core; (4) the
-    W-SCOMP estimate reproduces the outcomes. ValueError if ``n_max``
+    SCOMP and W-SCOMP estimates each reproduce the outcomes. ValueError if ``n_max``
     exceeds the enumeration budget or checks nothing (below 2), or if ``trials`` < 0.
     """
     n_max, trials = require_int(n_max, "n_max", 2), require_int(trials, "trials", 0)
@@ -172,10 +171,11 @@ def verify(n_max: int, trials: int) -> tuple[float, float, int]:
         outcomes = run_tests(matrix, truth)
         feasible = consistent_sets(matrix, outcomes, k)
         masks = [s.to_mask() for s in feasible]
-        decoded = decode_all(matrix, outcomes, ("comp", "dd", "wscomp"))
+        decoded = decode_all(matrix, outcomes, ("comp", "dd", "scomp", "wscomp"))
         pd, core = decoded["comp"].estimate.to_mask(), decoded["dd"].estimate.to_mask()
         violations += truth not in feasible
         violations += any((m & ~pd).any() for m in masks)
         violations += any((core & ~m).any() for m in masks)
-        violations += run_tests(matrix, decoded["wscomp"].estimate) != outcomes
+        for greedy in ("scomp", "wscomp"):
+            violations += run_tests(matrix, decoded[greedy].estimate) != outcomes
     return worst_w, worst_u, violations

@@ -152,9 +152,14 @@ def _weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
     base_nu_d = float((_binom_pmf(n_items - 1, p) * recip**2).sum())
     # Non-defective item in a positive test: 1/(1 + H + R), H ~ Bin(k, p) with
     # H >= 1 and R ~ Bin(N-k-1, p); entry i of the convolution is P(H + R = i + 1, H >= 1).
-    joint = np.convolve(_binom_pmf(n_defectives, p)[1:], _binom_pmf(n_items - n_defectives - 1, p))
-    base_mu_nd = float((joint * recip[1:]).sum()) / q
-    base_nu_nd = float((joint * recip[1:] ** 2).sum()) / q
+    h = _binom_pmf(n_defectives, p)[1:]
+    if h[-1] == 0.0:
+        # Cut the zeros its tail underflows to at large k, or the convolution costs O(k * (N - k)).
+        h = h[: np.flatnonzero(h)[-1] + 1]
+    joint = np.convolve(h, _binom_pmf(n_items - n_defectives - 1, p))
+    weights = recip[1 : len(joint) + 1]
+    base_mu_nd = float((joint * weights).sum()) / q
+    base_nu_nd = float((joint * weights**2).sum()) / q
     return _moment_set("weighted", p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd)
 
 
@@ -245,11 +250,6 @@ class TheoryPoint:
     n_items: int
     n_defectives: int
     p: float
-    q: float
-    f1: float
-    f2: float
-    f3: float
-    f4: float
     f_value: float
     residual_19: float
     weighted: MomentSet
@@ -266,7 +266,7 @@ def _log_space_sum(n: int, k: int, log_c_prefactor: float) -> float:
     """sum_s C(n, s) / (s * k**s), each term scaled by exp(log_c_prefactor)."""
     s = np.arange(1, n + 1)
     log_terms = _log_binom(n)[1:] - np.log(s) - s * math.log(k) + log_c_prefactor
-    return math.fsum(np.exp(log_terms))
+    return math.fsum(np.exp(log_terms).tolist())
 
 
 def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
@@ -320,11 +320,6 @@ def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
         n_items=n,
         n_defectives=k,
         p=p,
-        q=q,
-        f1=f1,
-        f2=f2,
-        f3=f3,
-        f4=f4,
         f_value=closed,
         residual_19=residual,
         weighted=moments,

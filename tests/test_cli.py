@@ -10,8 +10,9 @@ import pytest
 import grouptest
 from grouptest import cli
 from grouptest.cli import main
+from grouptest.design import DESIGN_KINDS, generate
 from grouptest.plotting import METRIC_COLUMNS
-from grouptest.sim import CSV_COLUMNS
+from grouptest.sim import CSV_COLUMNS, design_spec_for
 from grouptest.theory import f_grid, unweighted_moments, weighted_moments
 
 
@@ -58,6 +59,30 @@ class TestDesign:
         ) == 0
         data = json.loads(path.read_text())
         assert data["params"]["L"] == 5  # floor((30/4) ln 2)
+
+    @pytest.mark.parametrize("kind", DESIGN_KINDS)
+    def test_k_builds_the_sweeps_design(self, tmp_path, kind):
+        path = tmp_path / "m.json"
+        assert run_cli(
+            "design", "--kind", kind, "--n-items", "500", "--n-tests", "150",
+            "--k", "10", "--seed", "1", "-o", str(path),
+        ) == 0
+        matrix = generate(design_spec_for(kind, 500, 10, 150, 1))
+        assert path.read_text() == json.dumps(matrix.to_json_dict()) + "\n"
+
+    @pytest.mark.parametrize("kind", DESIGN_KINDS)
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    @pytest.mark.parametrize("n_tests", ["150", "0"])
+    def test_k_below_one_named_first(self, tmp_path, capsys, kind, k, n_tests):
+        # The sweep's k = 0 design is sweep-only, and k is checked before T.
+        path = tmp_path / "m.json"
+        code = run_cli(
+            "design", "--kind", kind, "--n-items", "500", "--n-tests", n_tests,
+            "--k", k, "--seed", "1", "-o", str(path),
+        )
+        assert code == 1
+        assert f"gt: n_defectives must be >= 1, got {k}\n" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_seed_required(self, tmp_path, capsys):
         code = run_cli(

@@ -226,8 +226,10 @@ class TestVerify:
             ("comp", _comp_dropping_a_pd_item),
             ("dd", _dd_adding_a_non_core_item),
             ("wscomp", _w_scomp_returning_the_dd_core),
+            ("scomp", _w_scomp_returning_the_dd_core),
         ],
-        ids=["truth-feasible", "feasible-in-comp", "dd-core-in-feasible", "wscomp-reproduces"],
+        ids=["truth-feasible", "feasible-in-comp", "dd-core-in-feasible", "wscomp-reproduces",
+             "scomp-reproduces"],
     )
     def test_each_check_catches_its_broken_decoder(self, monkeypatch, name, breaker):
         # Each mutation can trip only its own check, so a count above 0

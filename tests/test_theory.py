@@ -80,6 +80,19 @@ class TestWeightedMoments:
         with pytest.raises(ValueError):
             weighted_moments(3, 1, 0.0)
 
+    @pytest.mark.parametrize("n, k", [(10**5, 10**4), (2000, 1000)])
+    def test_large_k_matches_the_untrimmed_convolution(self, n, k):
+        # The tail of the Bin(k, p) pmf underflows to zeros, which the moments cut.
+        p = 1 / (k + 1)
+        h = binom_pmf(k, p)
+        assert h[-1] == 0.0
+        joint = np.convolve(h[1:], binom_pmf(n - k - 1, p))
+        recip = 1.0 / np.arange(2, n + 1)
+        q = coverage_prob(k, p)
+        m = weighted_moments(n, k, p)
+        assert m.base_mu_nd == pytest.approx((joint * recip).sum() / q, rel=1e-13, abs=0)
+        assert m.base_nu_nd == pytest.approx((joint * recip**2).sum() / q, rel=1e-13, abs=0)
+
     def test_variances_nonnegative_on_grid(self):
         for n in (2, 5, 20, 120):
             for k in (1, 2, n // 2, n - 1):
