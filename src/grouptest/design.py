@@ -182,10 +182,6 @@ class DesignMatrix:
         )
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 # Uniforms per draw of gen_bernoulli, 1 MiB of doubles: one block still holds
 # a whole N=500, T<=262 matrix, so a sweep trial makes a single draw.
 _BERNOULLI_BLOCK = 1 << 17
@@ -199,7 +195,7 @@ def gen_bernoulli(spec: DesignSpec) -> DesignMatrix:
     """
     require_match(spec.design_kind, "spec design_kind", "bernoulli", "generator")
     p = spec.inclusion_prob
-    rng = _rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     dense = np.empty((spec.n_tests, spec.n_items), dtype=bool)
     flat = dense.reshape(-1)
     for start in range(0, flat.size, _BERNOULLI_BLOCK):
@@ -221,7 +217,7 @@ def gen_constant_column(spec: DesignSpec) -> DesignMatrix:
     """
     require_match(spec.design_kind, "spec design_kind", "constant_column", "generator")
     L, T = spec.column_weight, spec.n_tests
-    rng = _rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     dense = np.zeros((T, spec.n_items), dtype=bool)
     items = np.arange(spec.n_items)
     for j in range(T - L, T):
@@ -242,7 +238,7 @@ def gen_near_constant_column(spec: DesignSpec) -> DesignMatrix:
     """
     require_match(spec.design_kind, "spec design_kind", "near_constant_column", "generator")
     L = spec.column_weight
-    rng = _rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     dense = np.zeros((spec.n_tests, spec.n_items), dtype=bool)
     picks = rng.integers(0, spec.n_tests, size=(spec.n_items, L))
     dense[picks, np.arange(spec.n_items)[:, np.newaxis]] = True

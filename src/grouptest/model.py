@@ -99,7 +99,7 @@ class OutcomeVector:
 def sample_defective_set(n_items: int, n_defectives: int, seed) -> ItemSet:
     """Uniform draw over all size-k subsets of [0, N); deterministic per seed (``require_seed``)."""
     n_items, n_defectives = require_defectives(n_items, n_defectives)
-    rng = np.random.default_rng(np.random.SeedSequence(require_seed(seed, "seed")))
+    rng = np.random.default_rng(require_seed(seed, "seed"))
     members = rng.choice(n_items, size=n_defectives, replace=False)
     return ItemSet(tuple(int(i) for i in members), universe_size=n_items)
 

@@ -19,10 +19,10 @@ Bhattacharyya / Bernstein error bounds driven by the SNR.
 
 All binomial probabilities are evaluated in log space, with log C(n, j)
 taken as running sums of log((n+1-j)/j), so that N = 500-scale sums
-neither overflow nor lose the small tails; the ingredients of f(N, k)
-that mix huge binomials with tiny powers are combined term-by-term in
-log space before exponentiation. The non-defective moments convolve two
-binomial pmfs in one dimension, so every moment takes O(N) memory.
+neither overflow nor lose the small tails; f(N, k)'s fourth term is f4
+times ``second_moment_sum``'s two single binomial sums. The non-defective
+moments convolve two binomial pmfs in one dimension, so every moment takes
+O(N) memory, and delta_mu is a sum of positive terms, never a difference.
 
 Each public function checks its arguments once and then works through
 private helpers (``_coverage``, ``_binom_pmf``, ``_weighted_moments``, ...)
@@ -113,15 +113,16 @@ def _check_domain(n_items: int, n_defectives: int, p: float) -> tuple[int, int, 
     return (*require_defectives(n_items, n_defectives, interior=True), require_prob(p, "p", interior=True))
 
 
-def _moment_set(rule, p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd) -> MomentSet:
+def _moment_set(rule, p, q, base_gap, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd) -> MomentSet:
     # The one derivation of mu, nu, delta_mu, sigma^2 and the SNR from base
     # moments: an item is pooled with probability p, and a non-defective
-    # item's test is positive with probability q.
+    # item's test is positive with probability q. base_gap = base_mu_d - q base_mu_nd
+    # comes as a sum of positive terms, since the subtraction cancels as q nears 1.
     mu_d = p * base_mu_d
     nu_d = p * base_nu_d
     mu_nd = p * q * base_mu_nd
     nu_nd = p * q * base_nu_nd
-    delta_mu = mu_d - mu_nd
+    delta_mu = p * base_gap
     sigma2 = (nu_d - mu_d**2) + (nu_nd - mu_nd**2)
     return MomentSet(
         mu_d=mu_d,
@@ -156,11 +157,14 @@ def _weighted_moments(n_items: int, n_defectives: int, p: float) -> MomentSet:
     if h[-1] == 0.0:
         # Cut the zeros its tail underflows to at large k, or the convolution costs O(k * (N - k)).
         h = h[: np.flatnonzero(h)[-1] + 1]
-    joint = np.convolve(h, _binom_pmf(n_items - n_defectives - 1, p))
+    rest = _binom_pmf(n_items - n_defectives - 1, p)
+    joint = np.convolve(h, rest)
     weights = recip[1 : len(joint) + 1]
     base_mu_nd = float((joint * weights).sum()) / q
     base_nu_nd = float((joint * weights**2).sum()) / q
-    return _moment_set("weighted", p, q, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd)
+    # Coupling the N-1 peers as H + R, E[W_D] - q E[W_ND] = E[1{H = 0} / (1 + R)] = (1-p)**k E[1/(1 + R)].
+    base_gap = math.exp(n_defectives * math.log1p(-p)) * float(rest @ recip[: len(rest)])
+    return _moment_set("weighted", p, q, base_gap, base_mu_d, base_nu_d, base_mu_nd, base_nu_nd)
 
 
 def unweighted_moments(n_defectives: int, p: float) -> MomentSet:
@@ -170,7 +174,8 @@ def unweighted_moments(n_defectives: int, p: float) -> MomentSet:
 
 
 def _unweighted_moments(n_defectives: int, p: float) -> MomentSet:
-    return _moment_set("unweighted", p, _coverage(n_defectives, p), 1.0, 1.0, 1.0, 1.0)
+    base_gap = math.exp(n_defectives * math.log1p(-p))  # 1 - q without the subtraction
+    return _moment_set("unweighted", p, _coverage(n_defectives, p), base_gap, 1.0, 1.0, 1.0, 1.0)
 
 
 def snr_aggregate(snr_per: float, n_tests: int) -> float:
@@ -202,17 +207,19 @@ def mu_nd_closed_form(n_items: int, n_defectives: int) -> float:
 
 def second_moment_sum(n_items: int, n_defectives: int, p: float) -> float:
     """The combination E[W_D^2] + q(k) E[W_ND^2] via two single binomial sums."""
-    n_items, n_defectives, p = _check_domain(n_items, n_defectives, p)
-    n, k = n_items, n_defectives
-    s_full = np.arange(1, n + 1)
-    first = 2.0 / (n * p) * float((_binom_pmf(n, p)[1:] / s_full).sum())
-    s_sub = np.arange(1, n - k + 1)
-    second = (
-        (1.0 - p) ** k
-        / (p * (n - k))
-        * float((_binom_pmf(n - k, p)[1:] / s_sub).sum())
+    return _second_moment_sum(*_check_domain(n_items, n_defectives, p))
+
+
+def _second_moment_sum(n: int, k: int, p: float) -> float:
+    return (
+        2.0 / (n * p) * _reciprocal_sum(n, p)
+        - (1.0 - p) ** k / (p * (n - k)) * _reciprocal_sum(n - k, p)
     )
-    return first - second
+
+
+def _reciprocal_sum(m: int, p: float) -> float:
+    """sum_{s >= 1} P(Bin(m, p) = s) / s."""
+    return math.fsum((_binom_pmf(m, p)[1:] / np.arange(1, m + 1)).tolist())
 
 
 def coefficient_functions(n_defectives: int) -> tuple[float, float, float, float]:
@@ -262,13 +269,6 @@ class TheoryPoint:
             )
 
 
-def _log_space_sum(n: int, k: int, log_c_prefactor: float) -> float:
-    """sum_s C(n, s) / (s * k**s), each term scaled by exp(log_c_prefactor)."""
-    s = np.arange(1, n + 1)
-    log_terms = _log_binom(n)[1:] - np.log(s) - s * math.log(k) + log_c_prefactor
-    return math.fsum(np.exp(log_terms).tolist())
-
-
 def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
     """Evaluate the positivity function f(N, k) by both computation routes."""
     n_items, n_defectives = require_defectives(n_items, n_defectives, interior=True)
@@ -298,15 +298,10 @@ def f_value(n_items: int, n_defectives: int) -> TheoryPoint:
         * bracket**2
         * (2.0 * k - (5.0 * k - 1.0) * ck + (4.0 * k - 2.0) * c2k - (k - 1.0) * c3k)
     )
-    log_prefactor = (n + 2.0 * k) * math.log(c)
-    term4 = -(k + 1.0) * (
-        2.0 / n * _log_space_sum(n, k, log_prefactor)
-        - 1.0 / (n - k) * _log_space_sum(n - k, k, log_prefactor)
-    )
-    closed = math.fsum((term1, term2, term3, term4))
+    f1, f2, f3, f4 = _coefficient_functions(k)
+    closed = math.fsum((term1, term2, term3, f4 * _second_moment_sum(n, k, p)))
 
     moments = _weighted_moments(n, k, p)
-    f1, f2, f3, f4 = _coefficient_functions(k)
     combo = moments.base_nu_d + q * moments.base_nu_nd
     residual = math.fsum(
         (

@@ -141,6 +141,84 @@ def test_base_moments_match_exact_fractions(n, k, p):
         assert abs(Fraction(value) - exact) <= Fraction(1, 10**12) * exact
 
 
+def _exact_recip_moment(m, p, power):
+    """E[1/(1 + X)**power], X ~ Bin(m, p), as an exact Fraction (single sum, integer Horner in 1-p)."""
+    a, b = Fraction(p).as_integer_ratio()
+    lcm = math.lcm(*range(1, m + 2))
+    total, a_power = 0, 1
+    for j in range(m + 1):  # total = sum_j C(m, j) a**j (b - a)**(m - j) (lcm / (1 + j))**power
+        total = total * (b - a) + math.comb(m, j) * a_power * (lcm // (1 + j)) ** power
+        a_power *= a
+    return Fraction(total, lcm**power * b**m)
+
+
+@pytest.mark.parametrize("n, k", [(300, 3), (40, 5), (200, 10)])
+@pytest.mark.parametrize("p", [1e-9, None, 0.999])
+def test_second_moment_sum_matches_exact_fractions(n, k, p):
+    # E[W_D^2] + q E[W_ND^2] = 2 E[1/(1+S)^2] - (1-p)**k E[1/(1+R)^2] with S ~ Bin(N-1, p) and
+    # R ~ Bin(N-k-1, p), coupling S = H + R; None stands for p = 1/(k+1).
+    p = 1 / (k + 1) if p is None else p
+    miss = (1 - Fraction(p)) ** k
+    exact = 2 * _exact_recip_moment(n - 1, p, 2) - miss * _exact_recip_moment(n - k - 1, p, 2)
+    assert abs(Fraction(second_moment_sum(n, k, p)) - exact) <= Fraction(1, 10**12) * exact
+
+
+def _exact_f(n, k):
+    """f(N, k)'s closed form in exact rationals, its fourth term written as
+    -(k+1) c**(N+2k) (2/N S(N) - S(N-k)/(N-k)) with S(m) = sum_s C(m, s) / (s k**s)."""
+    c = Fraction(k, k + 1)
+    ck, cn = c**k, c**n
+    bracket = (1 - cn) / n - ck * (1 - c ** (n - k)) / (n - k)
+    term1 = Fraction(k + 1, n**2) * (2 * k - (k - 1) * ck) * (1 - cn) ** 2
+    term2 = -Fraction(k + 1, n) * (1 - cn) / (1 - ck) * bracket
+    term2 *= 4 * k - (6 * k - 2) * ck + (2 * k - 4) * ck**2 + 2 * ck**3
+    term3 = (k + 1) / (1 - ck) ** 2 * bracket**2
+    term3 *= 2 * k - (5 * k - 1) * ck + (4 * k - 2) * ck**2 - (k - 1) * ck**3
+
+    def s_sum(m):
+        lcm = math.lcm(*range(1, m + 1))
+        total = 0
+        for s in range(1, m + 1):  # total = sum_s C(m, s) (lcm / s) k**(m - s)
+            total = total * k + math.comb(m, s) * (lcm // s)
+        return Fraction(total, lcm * k**m)
+
+    term4 = -(k + 1) * c ** (n + 2 * k) * (Fraction(2, n) * s_sum(n) - s_sum(n - k) / (n - k))
+    return term1 + term2 + term3 + term4
+
+
+@pytest.mark.parametrize("n, k", [(11, 10), (60, 10), (240, 40), (300, 3), (1000, 10), (1500, 100)])
+def test_f_value_matches_exact_fractions(n, k):
+    # The cancellation inside f, not the sums, sets the error: ~4e-12 at (1000, 10).
+    exact = _exact_f(n, k)
+    assert abs(Fraction(f_value(n, k).f_value) - exact) <= Fraction(1, 10**11) * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "n, k, p",
+    [(1000, 500, 0.1), (1000, 999, 0.1), (40, 20, 0.9), (500, 10, 0.9), (200, 10, 0.999)]
+    + [(10, 3, 0.999999), (12, 11, 0.999999)],
+)
+def test_gap_and_snr_match_exact_fractions(n, k, p):
+    # mu_D - mu_ND cancels as q nears 1: at these points it lost digits, or the sign of delta_mu.
+    exact_p = Fraction(p)
+    miss = (1 - exact_p) ** k
+    by_peers = [_exact_recip_moment(n - 1, p, j) for j in (1, 2)]
+    by_rest = [_exact_recip_moment(n - k - 1, p, j) for j in (1, 2)]
+    mu_d, nu_d = (exact_p * d for d in by_peers)
+    mu_nd, nu_nd = (exact_p * (d - miss * r) for d, r in zip(by_peers, by_rest))  # coupling S = H + R
+    pq = exact_p * (1 - miss)
+    gap_w = miss * (1 - (1 - exact_p) ** (n - k)) / (n - k)  # p times numerator_identity's closed form
+    cases = [
+        (weighted_moments(n, k, p), gap_w, (mu_d, nu_d, mu_nd, nu_nd)),
+        (unweighted_moments(k, p), exact_p * miss, (exact_p, exact_p, pq, pq)),
+    ]
+    for got, gap, (m_d, n_d, m_nd, n_nd) in cases:
+        snr = float(gap) / math.sqrt(float((n_d - m_d**2) + (n_nd - m_nd**2)))
+        assert got.delta_mu > 0 and got.snr_per > 0
+        assert abs(Fraction(got.delta_mu) - gap) <= Fraction(1, 10**10) * gap
+        assert abs(got.snr_per - snr) <= 1e-10 * snr
+
+
 @pytest.mark.parametrize("n, k", [(10**4, 10), (10**5, 10), (10**5, 100)])
 def test_f_value_past_the_grid(n, k):
     point = f_value(n, k)  # TheoryPoint raises if the two routes disagree
